@@ -13,7 +13,7 @@ from . import errors
 from .geometry import (BoundarySpec, Domain, GeometryFactors, SyncSpacetime,
                        diagonal_spacetime, flrw_torus, q_factor, rbar_factor,
                        static_spacetime, volume_integral)
-from .spectral import (ModeBasis, OperatorSpec, align_basis, default_operator,
+from .spectral import (ModeBasis, OperatorSpec, align_basis,
                        instantaneous_basis, orthonormality_residual,
                        regularize_zero_mode)
 from .coupling import (BasisDerivatives, CouplingMatrices, basis_derivatives,
@@ -30,8 +30,8 @@ __all__ = [
     "BoundarySpec", "Domain", "GeometryFactors", "SyncSpacetime",
     "diagonal_spacetime", "flrw_torus", "q_factor", "rbar_factor",
     "static_spacetime", "volume_integral",
-    "ModeBasis", "OperatorSpec", "align_basis", "default_operator",
-    "instantaneous_basis", "orthonormality_residual", "regularize_zero_mode",
+    "ModeBasis", "OperatorSpec", "align_basis", "instantaneous_basis",
+    "orthonormality_residual", "regularize_zero_mode",
     "BasisDerivatives", "CouplingMatrices", "basis_derivatives",
     "coupling_matrices",
     "BogoliubovMatrix", "PhaseAccumulator", "compose", "evolve_Q", "evolve_U",

@@ -66,8 +66,7 @@ class OdeResult:
 def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
                 rtol: float, atol: float,
                 t_eval: Optional[Sequence[float]] = None,
-                step_hook: Optional[Callable] = None,
-                max_step: float = np.inf) -> OdeResult:
+                step_hook: Optional[Callable] = None) -> OdeResult:
     """Integrate dy/dt = f(t, y) from t0 to tf, sampling at ``t_eval``.
 
     ``t_eval`` must be monotone between t0 and tf (both directions work);
@@ -92,7 +91,6 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
     k = np.empty((7, y.size), dtype=complex)
     k[0] = f(t, y)
     h = _initial_step(f, t0, y, k[0], direction, rtol, atol, span)
-    h = min(h, max_step)
     n_steps = n_rejected = 0
     ti = 0
 
@@ -130,7 +128,7 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
                 ti += 1
             factor = MAX_FACTOR if err_norm == 0 else min(
                 MAX_FACTOR, SAFETY * err_norm ** -0.2)
-            h = min(max(h_step * max(factor, MIN_FACTOR), 1e-300), max_step)
+            h = max(h_step * max(factor, MIN_FACTOR), 1e-300)
         else:
             n_rejected += 1
             factor = max(MIN_FACTOR, SAFETY * err_norm ** -0.2)

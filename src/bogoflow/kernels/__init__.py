@@ -1,6 +1,6 @@
 """Scenario ODE kernels with a compiled fast path.
 
-The compiled Dormand-Prince extension is used when it importable; the
+The compiled Dormand-Prince extension is used when it is importable; the
 pure-Python implementation in :mod:`bogoflow.kernels.reference` is the
 fallback and the behavioural reference.  Set ``BOGOFLOW_FORCE_PY=1`` to
 force the fallback (used by the backend-comparison benchmark and tests).

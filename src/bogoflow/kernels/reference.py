@@ -9,7 +9,9 @@ Both scenario families reduce to one phase-stripped pair system per mode,
 where x is the integration variable (conformal time for the cosmology
 family with Jacobian J = a, coordinate time with J = 1 for the cavity
 family), b is the pair coupling rate and w the mode frequency.  The
-compiled kernel implements exactly the same stepper on this system.
+compiled kernel implements exactly the same stepper on this system.  The
+scale factor and the wave profile are written once here; the scenario
+spacetimes evaluate them through the same functions.
 """
 
 import numpy as np
@@ -21,12 +23,32 @@ FLRW_TANH = 1
 GW_MODE = 2
 
 
+def _flrw_a2(A, B, rho, eta):
+    """Squared scale factor a(eta)^2 = A + B tanh(rho eta) and d(a^2)/deta."""
+    th = np.tanh(rho * eta)
+    return A + B * th, B * rho * (1.0 - th ** 2)
+
+
+def _gw_profile(omega, tau, t):
+    """Wave profile s(t) = sin(omega t) exp(-(t/tau)^2) and ds/dt.
+
+    A ``tau`` of None or 0 drops the Gaussian envelope.
+    """
+    if tau:
+        env = np.exp(-(t / tau) ** 2)
+        denv = -2.0 * t / (tau * tau) * env
+    else:
+        env, denv = 1.0, 0.0
+    s = np.sin(omega * t) * env
+    ds = omega * np.cos(omega * t) * env + np.sin(omega * t) * denv
+    return s, ds
+
+
 def _flrw_rates(params, eta):
     A, B, rho, k, m = params
-    a2 = A + B * np.tanh(rho * eta)
+    a2, da2 = _flrw_a2(A, B, rho, eta)
     a = np.sqrt(a2)
-    sech2 = 1.0 - np.tanh(rho * eta) ** 2
-    a_eta = B * rho * sech2 / (2.0 * a)
+    a_eta = da2 / (2.0 * a)
     w = np.sqrt(k * k / a2 + m * m)
     b = -(a_eta / (2.0 * a2)) * (m * m / (w * w))
     return a, w, b
@@ -34,13 +56,7 @@ def _flrw_rates(params, eta):
 
 def _gw_rates(params, t):
     kx2, ky2, kz2, msq, eps, omega, tau = params
-    if tau > 0:
-        env = np.exp(-(t / tau) ** 2)
-        denv = -2.0 * t / (tau * tau) * env
-    else:
-        env, denv = 1.0, 0.0
-    s = np.sin(omega * t) * env
-    ds = omega * np.cos(omega * t) * env + np.sin(omega * t) * denv
+    s, ds = _gw_profile(omega, tau, t)
     hx = 1.0 + eps * s
     hy = 1.0 - eps * s
     dhx = eps * ds

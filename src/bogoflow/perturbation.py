@@ -62,10 +62,6 @@ def sin_profile(omega: float, gaussian_tau: Optional[float] = None) -> HarmonicP
     return HarmonicProfile(((omega, -0.5j), (-omega, 0.5j)), gaussian_tau)
 
 
-def cos_profile(omega: float, gaussian_tau: Optional[float] = None) -> HarmonicProfile:
-    return HarmonicProfile(((omega, 0.5 + 0j), (-omega, 0.5 + 0j)), gaussian_tau)
-
-
 # ---------------------------------------------------------------------------
 # perturbation description
 
@@ -76,10 +72,8 @@ class PerturbationSpec:
 
     ``delta_q``/``delta_rbar`` are spatial parts (scalars or callables of
     points); ``delta_operator`` maps a mode to the x-part of the operator
-    perturbation applied to it; ``delta_h`` is kept for reference (it is
-    not consumed by the coupling assembly, which works with the derived
-    quantities).  Entries of the resulting coupling are O(1): epsilon is
-    applied only when coefficients are assembled.
+    perturbation applied to it.  Entries of the resulting coupling are
+    O(1): epsilon is applied only when coefficients are assembled.
     """
 
     epsilon: float
@@ -87,7 +81,6 @@ class PerturbationSpec:
     delta_q: object = 0.0
     delta_rbar: object = 0.0
     delta_operator: Optional[Callable] = None
-    delta_h: Optional[Callable] = None
 
     def __post_init__(self):
         if self.epsilon < 0:

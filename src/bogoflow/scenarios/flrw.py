@@ -8,9 +8,7 @@ asymptotic pair-creation formula for this profile serves as the oracle for
 the plateau values.
 """
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,6 +20,7 @@ from ..coupling import DiagonalFamilyDriver
 from ..errors import AsymptoteNotReached, InvalidArgument, NonMonotonicGrid
 from ..evolution import evolve_Q
 from ..geometry import flrw_torus
+from ..kernels.reference import _flrw_a2
 from ..quadrature import _leggauss
 from ..spectral import OperatorSpec
 
@@ -60,7 +59,7 @@ class FlrwConfig:
         return 2.0 * np.pi * n / self.L
 
     def scale_factor_eta(self, eta):
-        return np.sqrt(self.A + self.B * np.tanh(self.rho * np.asarray(eta)))
+        return np.sqrt(_flrw_a2(self.A, self.B, self.rho, np.asarray(eta))[0])
 
     def saturated(self) -> bool:
         r = abs(self.rho)
@@ -122,18 +121,6 @@ def asymptotic_beta_squared(cfg: FlrwConfig, k: float) -> float:
                  / (np.sinh(np.pi * w_in / r) * np.sinh(np.pi * w_out / r)))
 
 
-def _worker_count(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("BOGOFLOW_WORKERS", "")
-    try:
-        if env:
-            return max(1, int(env))
-    except ValueError:
-        pass
-    return min(8, os.cpu_count() or 1)
-
-
 @dataclass(eq=False)
 class FlrwResult:
     config: FlrwConfig
@@ -162,9 +149,8 @@ class FlrwResult:
         return float(np.max(np.abs(self.alpha2 - 1.0 - self.beta2)))
 
 
-def _run_single_k(cfg: FlrwConfig, k: float, eta_samples, backend):
-    impl = kernels.get_backend(backend)
-    qa, qb, phase = impl.pair_evolution(
+def _run_single_k(cfg: FlrwConfig, k: float, eta_samples):
+    qa, qb, phase = kernels.pair_evolution(
         kernels.FLRW_TANH, [cfg.A, cfg.B, cfg.rho, k, cfg.m],
         float(eta_samples[0]), eta_samples,
         rtol=cfg.tol, atol=cfg.tol, ident_cap=100.0 * cfg.tol)
@@ -174,8 +160,7 @@ def _run_single_k(cfg: FlrwConfig, k: float, eta_samples, backend):
 
 
 def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
-             include_zero_mode: bool = True, backend: Optional[str] = None,
-             workers: Optional[int] = None) -> FlrwResult:
+             include_zero_mode: bool = True) -> FlrwResult:
     """Per-pair evolution curves |alpha_nn|^2 and |beta_(-n)n|^2 over time.
 
     Initial data alpha = 1, beta = 0 is imposed at the left end of the
@@ -191,17 +176,7 @@ def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
         labels = [0] + labels
     eta_samples = np.linspace(cfg.eta_span[0], cfg.eta_span[1], n_samples)
     grid = flrw_time_grid(cfg)
-
-    def job(n):
-        return _run_single_k(cfg, cfg.k_n(n), eta_samples, backend)
-
-    n_workers = _worker_count(workers)
-    if n_workers > 1 and len(labels) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(job, labels))
-    else:
-        results = [job(n) for n in labels]
-
+    results = [_run_single_k(cfg, cfg.k_n(n), eta_samples) for n in labels]
     alpha = np.stack([r[0] for r in results])
     beta = np.stack([r[1] for r in results])
     oracle = np.array([asymptotic_beta_squared(cfg, cfg.k_n(n)) for n in labels])
@@ -209,7 +184,7 @@ def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
     result = FlrwResult(config=cfg, labels=tuple(labels), eta=eta_samples,
                         t=grid.eta_to_t(eta_samples), alpha=alpha, beta=beta,
                         oracle_beta2=oracle)
-    result.meta["backend"] = backend or kernels.backend_name
+    result.meta["backend"] = kernels.backend_name
     result.meta["pair_identity_residual"] = result.pair_identity_residual()
 
     beta2 = result.beta2
@@ -231,13 +206,13 @@ def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
     return result
 
 
-def flrw_unconfined_limit(cfg: FlrwConfig, k: float, n_samples: int = 600,
-                          backend: Optional[str] = None) -> dict:
+def flrw_unconfined_limit(cfg: FlrwConfig, k: float,
+                          n_samples: int = 600) -> dict:
     """Continuum-wavenumber dispersion data: k_n -> k with the same machinery."""
     if k <= 0:
         raise InvalidArgument("wavenumber k must be positive")
     eta_samples = np.linspace(cfg.eta_span[0], cfg.eta_span[1], n_samples)
-    alpha, beta = _run_single_k(cfg, k, eta_samples, backend)
+    alpha, beta = _run_single_k(cfg, k, eta_samples)
     return {
         "k": k,
         "eta": eta_samples,
@@ -256,11 +231,9 @@ def flrw_spacetime(cfg: FlrwConfig, grid: Optional[FlrwTimeGrid] = None):
         return float(grid.a_of_t(t))
 
     def a_dot(t):
-        eta = float(grid.t_to_eta(t))
-        a = float(cfg.scale_factor_eta(eta))
-        sech2 = 1.0 - np.tanh(cfg.rho * eta) ** 2
-        a_eta = cfg.B * cfg.rho * sech2 / (2.0 * a)
-        return a_eta / a
+        # da/dt = (da/deta) / a = d(a^2)/deta / (2 a^2)
+        a2, da2 = _flrw_a2(cfg.A, cfg.B, cfg.rho, float(grid.t_to_eta(t)))
+        return da2 / (2.0 * a2)
 
     return flrw_torus(a_of_t, a_dot, length=cfg.L, mass=cfg.m)
 

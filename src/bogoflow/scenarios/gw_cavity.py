@@ -17,6 +17,7 @@ from .. import kernels
 from ..coupling import DiagonalFamilyDriver
 from ..errors import InvalidArgument
 from ..geometry import BoundarySpec, Domain, diagonal_spacetime, static_spacetime
+from ..kernels.reference import _gw_profile
 from ..perturbation import (DeltaCoupling, PerturbationSpec, PerturbedEigenpairs,
                             ResonanceReport, asymptotic_coefficients,
                             delta_coupling_from_modes, resonance_scan,
@@ -183,22 +184,12 @@ def gw_spacetime(cfg: GwCavityConfig, dm: float = 0.0):
     """Exact perturbed spacetime h = diag(1 + eps s, 1 - eps s, 1)."""
     eps, omega, tau = cfg.epsilon, cfg.wave_frequency(), cfg.tau
 
-    def s_and_ds(t):
-        if tau is not None:
-            env = np.exp(-(t / tau) ** 2)
-            denv = -2.0 * t / tau ** 2 * env
-        else:
-            env, denv = 1.0, 0.0
-        s = np.sin(omega * t) * env
-        ds = omega * np.cos(omega * t) * env + np.sin(omega * t) * denv
-        return s, ds
-
     def scales(t):
-        s, _ = s_and_ds(t)
+        s, _ = _gw_profile(omega, tau, t)
         return np.array([1.0 + eps * s, 1.0 - eps * s, 1.0])
 
     def scales_dt(t):
-        _, ds = s_and_ds(t)
+        _, ds = _gw_profile(omega, tau, t)
         return np.array([eps * ds, -eps * ds, 0.0])
 
     domain = Domain(tuple(cfg.lengths), (False, False, False))
@@ -217,7 +208,7 @@ def gw_exact_driver(cfg: GwCavityConfig, dm: float = 0.0,
 
 
 def gw_nonperturbative_pair(cfg: GwCavityConfig, label, t_samples,
-                            dm: float = 0.0, backend: Optional[str] = None):
+                            dm: float = 0.0):
     """Exact evolution of one cavity mode via the scenario kernel.
 
     Returns (alpha_nn, beta_nn) over ``t_samples`` (U form, t0 at the first
@@ -228,8 +219,7 @@ def gw_nonperturbative_pair(cfg: GwCavityConfig, label, t_samples,
                   np.pi * label[2] / cfg.lengths[2])
     params = [kx ** 2, ky ** 2, kz ** 2, dm ** 2, cfg.epsilon,
               cfg.wave_frequency(), cfg.tau if cfg.tau is not None else 0.0]
-    impl = kernels.get_backend(backend)
-    qa, qb, phase = impl.pair_evolution(
+    qa, qb, phase = kernels.pair_evolution(
         kernels.GW_MODE, params, float(t_samples[0]), t_samples,
         rtol=cfg.tol, atol=cfg.tol, ident_cap=100.0 * cfg.tol)
     rot = np.exp(1j * phase)

@@ -14,7 +14,7 @@ metric volume element equals 1/(2 omega_n).
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -319,15 +319,10 @@ class OperatorSpec:
     mass_shift_sq: float = 0.0
     fd_points: int = 1024
     zero_tol: float = 1e-12
-    action: Optional[Callable] = None
 
     def potential(self, st: SyncSpacetime, t: float, pts) -> np.ndarray:
         base = st.coupling * st.curvature_at(t, pts) + st.mass ** 2
         return np.asarray(base, dtype=float) + self.mass_shift_sq
-
-
-def default_operator(st: SyncSpacetime, **kwargs) -> OperatorSpec:
-    return OperatorSpec(boundary=st.boundary, **kwargs)
 
 
 def regularize_zero_mode(op: OperatorSpec, dm: float) -> OperatorSpec:
@@ -612,10 +607,6 @@ def _clusters(omegas, rel_tol=1e-8):
     return groups
 
 
-def _scale_mode(mode, c):
-    return mode.scaled(c)
-
-
 def _combine(label, coef_modes):
     first = coef_modes[0][1]
     if isinstance(first, SeparableMode):
@@ -656,7 +647,7 @@ def align_basis(prev: ModeBasis, next_basis: ModeBasis,
         if len(g) == 1:
             z = ctx.gram([prev.modes[g[0]]], next_modes, conj=True)[0, 0]
             phase = 1.0 if abs(z) == 0 else z / abs(z)
-            aligned[prev_labels[0]] = (_scale_mode(next_modes[0], phase), omega)
+            aligned[prev_labels[0]] = (next_modes[0].scaled(phase), omega)
         else:
             # project previous modes on the new eigenspace, then Gram-Schmidt
             # in label order; inner products in L2(dV) of the new slice
@@ -675,7 +666,7 @@ def align_basis(prev: ModeBasis, next_basis: ModeBasis,
                 if nrm <= 0:
                     raise DegeneracyMismatch(
                         f"projection collapsed for label {lab}")
-                cand = _scale_mode(cand, 1.0 / np.sqrt(2.0 * omega * nrm))
+                cand = cand.scaled(1.0 / np.sqrt(2.0 * omega * nrm))
                 new_modes.append(cand)
             for lab, m in zip(prev_labels, new_modes):
                 aligned[lab] = (m, omega)

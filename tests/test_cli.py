@@ -107,12 +107,12 @@ def test_gw_resonant_run_records_channel(tmp_path):
     assert entry["kind"] == "beta" and entry["n"] == [1, 1, 1]
     assert abs(abs(complex(entry["rate_re"], entry["rate_im"]))
                - 1e-5 * np.pi / 8) < 1e-12
+    assert record["convergence"] is None
     header = (tmp_path / "gw.csv").read_text().splitlines()[0]
     assert header.startswith("t,")
 
 
-def test_custom_scenario_runs(tmp_path, monkeypatch):
-    monkeypatch.setenv("BOGOFLOW_WORKERS", "1")
+def test_custom_scenario_runs(tmp_path):
     cfg = {"scenario": "custom",
            "custom": {"lengths": [1.0], "periodic": [True], "mass": 1.0,
                       "base_scales": [1.0], "amplitudes": [0.01],
@@ -130,6 +130,14 @@ def test_run_overrides(tmp_path):
     assert cli.run(path, output_dir=tmp_path, tol=1e-8, n_modes=3) == 0
     header = (tmp_path / "out.csv").read_text().splitlines()[0].split(",")
     assert "beta2_n3" in header and "beta2_n4" not in header
+    convergence = json.loads((tmp_path / "out.json").read_text())["convergence"]
+    assert convergence["tol"] == [1e-8, 5e-9]
+    assert convergence["converged"]
+
+    # at a loose tolerance the half-tolerance rerun moves |beta|^2 visibly
+    assert cli.run(path, output_dir=tmp_path, tol=1e-4) == 0
+    convergence = json.loads((tmp_path / "out.json").read_text())["convergence"]
+    assert convergence["converged"] is False
 
 
 def test_validate_reports(tmp_path, capsys):
