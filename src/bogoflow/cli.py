@@ -191,7 +191,7 @@ def _run_gw(cfg, tol, n_modes, rng):
 
     coeffs = result.coefficients
     columns = []
-    if coeffs is not None and not result.dc.gaussian_tau:
+    if coeffs is not None and result.dc.tau is None:
         # growth series of the resonant channels over the window
         from .perturbation import window_coefficients
         t0, tf = result.meta["window"]

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InvalidArgument, SymmetryViolation
 from .geometry import SyncSpacetime, q_factor, rbar_factor
-from .spectral import (ModeBasis, OperatorSpec, SeparableMode, align_basis,
-                       combine_separable, instantaneous_basis)
+from .spectral import (ModeBasis, OperatorSpec, _combine, align_basis,
+                       instantaneous_basis)
 
 #: dt = DT_FRACTION * (2 pi / omega_min) for derivative stencils.
 DT_FRACTION = 1e-4
@@ -49,15 +49,6 @@ class BasisDerivatives:
     dt: float
 
 
-def _combo(mode_plus, mode_minus, scale, label):
-    """(plus - minus) * scale as a mode-like object."""
-    if isinstance(mode_plus, SeparableMode):
-        return combine_separable(label, [(scale, mode_plus), (-scale, mode_minus)])
-    vals = scale * (mode_plus.values - mode_minus.values)
-    from dataclasses import replace
-    return replace(mode_plus, label=label, values=vals)
-
-
 def default_stencil_dt(basis: ModeBasis) -> float:
     return DT_FRACTION * 2.0 * np.pi / float(np.min(basis.omegas))
 
@@ -83,7 +74,7 @@ def basis_derivatives(family: Callable, t: float, dt: Optional[float] = None
     minus = align_basis(base, family(t - dt))
     scale = 1.0 / (2.0 * dt)
     dmodes = tuple(
-        _combo(p, m, scale, lab)
+        _combine(lab, [(scale, p), (-scale, m)])
         for p, m, lab in zip(plus.modes, minus.modes, base.labels))
     domega = (plus.omegas - minus.omegas) * scale
     return BasisDerivatives(labels=base.labels, dmodes_dt=dmodes,

@@ -8,6 +8,15 @@ channel, resonant exactly when a profile tone matches w_n - w_m (alpha) or
 w_n + w_m (beta).  The Fourier convention is unitary in angular frequency,
 F[f](w) = (2 pi)^{-1/2} int dt f(t) e^{-i w t}, so asymptotic coefficients
 carry an explicit sqrt(2 pi).
+
+Every ``DeltaCoupling`` holds its Fourier content as one tone array:
+frequencies ``freqs`` (T,), amplitudes ``amps`` (2, T, n, n) for alpha and
+beta, and an optional Gaussian envelope duration ``tau``.  Window
+integrals, asymptotic coefficients, the equivalence reduction and the
+resonance scan are array operations over the detunings
+``freqs - resonances``.  ``window_coefficients`` integrates each tone
+exactly (``method="tones"``, the default) or the whole coupling by
+adaptive Gauss-Legendre quadrature in time (``method="quadrature"``).
 """
 
 import warnings
@@ -102,14 +111,22 @@ class PerturbedEigenpairs:
 # ---------------------------------------------------------------------------
 # delta coupling container
 
+#: order of the leading ``amps`` axis
+KINDS = ("alpha", "beta")
+
 
 @dataclass(eq=False)
 class DeltaCoupling:
     """Time-dependent first-order coupling matrices, epsilon factored out.
 
-    Either (base matrices x shared profile) or explicit per-channel tone
-    dictionaries; a numeric fallback with callables plus a declared support
-    is accepted where closed forms are unavailable.
+    Built from base matrices times a shared profile (``base_alpha``,
+    ``base_beta``, ``profile``) or from per-channel tone tables
+    (``tones_alpha``, ``tones_beta``: {(i, j): ((omega, amplitude), ...)},
+    with an optional ``profile`` supplying the envelope).  Either form is
+    stored as one tone array: ``freqs`` (T,), ``amps`` (2, T, n, n) for
+    alpha and beta, and the Gaussian envelope duration ``tau`` (or None),
+    so that channel (i, j) of kind k is
+    sum_t amps[k, t, i, j] exp(i freqs[t] t) exp(-t^2/tau^2).
     """
 
     basis: ModeBasis
@@ -119,65 +136,70 @@ class DeltaCoupling:
     profile: Optional[HarmonicProfile] = None
     tones_alpha: Optional[dict] = None
     tones_beta: Optional[dict] = None
-    fn_alpha: Optional[Callable] = None
-    fn_beta: Optional[Callable] = None
-    support: Optional[Tuple[float, float]] = None
     meta: dict = field(default_factory=dict)
+    freqs: np.ndarray = field(init=False, repr=False)
+    amps: np.ndarray = field(init=False, repr=False)
+    tau: Optional[float] = field(init=False)
+
+    def __post_init__(self):
+        if self.base_alpha is not None and self.base_beta is not None \
+                and self.profile is not None:
+            self.freqs = np.array([w for w, _ in self.profile.tones], dtype=float)
+            coef = np.array([c for _, c in self.profile.tones], dtype=complex)
+            base = np.stack([self.base_alpha, self.base_beta])
+            self.amps = coef[None, :, None, None] * base[:, None]
+        elif self.tones_alpha is not None or self.tones_beta is not None:
+            tables = (self.tones_alpha or {}, self.tones_beta or {})
+            self.freqs = np.unique([w for table in tables
+                                    for tones in table.values() for w, _ in tones])
+            n = self.n_modes
+            self.amps = np.zeros((2, self.freqs.size, n, n), dtype=complex)
+            for k, table in enumerate(tables):
+                for (i, j), tones in table.items():
+                    for w, c in tones:
+                        self.amps[k, np.searchsorted(self.freqs, w), i, j] += c
+        else:
+            raise InvalidArgument(
+                "coupling needs base matrices with a profile, or tone tables")
+        self.tau = self.profile.gaussian_tau if self.profile is not None else None
 
     @property
     def n_modes(self) -> int:
         return self.basis.n_modes
 
     @property
-    def has_tones(self) -> bool:
-        return (self.base_alpha is not None and self.profile is not None) \
-            or self.tones_alpha is not None
+    def resonances(self) -> np.ndarray:
+        """(2, n, n) resonant frequencies: w_i - w_j (alpha), w_i + w_j (beta)."""
+        w = self.basis.omegas
+        return np.stack([w[:, None] - w[None, :], w[:, None] + w[None, :]])
 
     @property
-    def gaussian_tau(self):
-        return self.profile.gaussian_tau if self.profile is not None else None
+    def detunings(self) -> np.ndarray:
+        """(2, T, n, n) tone frequency minus channel resonant frequency."""
+        return self.freqs[None, :, None, None] - self.resonances[:, None]
 
     def channel_tones(self, kind: str, i: int, j: int):
         """Tone list ((omega, amplitude), ...) of one channel."""
-        if self.tones_alpha is not None:
-            table = self.tones_alpha if kind == "alpha" else self.tones_beta
-            return table.get((i, j), ())
-        if self.base_alpha is None or self.profile is None:
-            raise InvalidArgument("coupling has no accessible Fourier components")
-        base = self.base_alpha if kind == "alpha" else self.base_beta
-        amp = base[i, j]
-        if amp == 0:
-            return ()
-        return tuple((w, c * amp) for w, c in self.profile.tones)
+        amps = self.amps[KINDS.index(kind), :, i, j]
+        return tuple((float(w), complex(c))
+                     for w, c in zip(self.freqs, amps) if c != 0)
 
-    def _matrix_from_tones(self, kind, t):
-        n = self.n_modes
-        out = np.zeros((n, n), dtype=complex)
-        table = self.tones_alpha if kind == "alpha" else self.tones_beta
-        env = 1.0
-        if self.profile is not None and self.profile.gaussian_tau is not None:
-            env = np.exp(-(t / self.profile.gaussian_tau) ** 2)
-        for (i, j), tones in table.items():
-            out[i, j] = sum(c * np.exp(1j * w * t) for w, c in tones) * env
-        return out
+    def _at(self, k: int, t):
+        """Matrices of kind k at time(s) t, shape t.shape + (n, n)."""
+        t = np.asarray(t, dtype=float)
+        phases = np.exp(1j * np.multiply.outer(t, self.freqs))
+        if self.tau is not None:
+            phases = phases * np.exp(-(t / self.tau) ** 2)[..., None]
+        return np.einsum("...t,tij->...ij", phases, self.amps[k])
 
     def alpha(self, t: float) -> np.ndarray:
-        if self.fn_alpha is not None:
-            return np.asarray(self.fn_alpha(t), dtype=complex)
-        if self.tones_alpha is not None:
-            return self._matrix_from_tones("alpha", t)
-        return self.base_alpha * self.profile.value(t)
+        return self._at(0, t)
 
     def beta(self, t: float) -> np.ndarray:
-        if self.fn_beta is not None:
-            return np.asarray(self.fn_beta(t), dtype=complex)
-        if self.tones_alpha is not None:
-            return self._matrix_from_tones("beta", t)
-        return self.base_beta * self.profile.value(t)
+        return self._at(1, t)
 
     def resonant_frequency(self, kind: str, i: int, j: int) -> float:
-        w = self.basis.omegas
-        return float(w[i] - w[j]) if kind == "alpha" else float(w[i] + w[j])
+        return float(self.resonances[KINDS.index(kind), i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -286,39 +308,34 @@ def delta_coupling_operator_form(static_basis: ModeBasis,
 # window / asymptotic coefficients
 
 
-def _sinc_half(x):
-    # int_0^1 e^{i x u} du has modulus sinc(x/2); stable near x = 0
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    nz = np.abs(x) > 1e-8
-    out[nz] = np.sin(0.5 * x[nz]) / (0.5 * x[nz])
-    return out
-
-
-def _scaled_erf(s: float, a: float) -> complex:
+def _scaled_erf(s: float, a):
     """exp(-a^2) * erf(s - i a), stable for any detuning via the Faddeeva w.
 
     The naive product overflows once |a| > ~26 (erf grows like exp(a^2) off
     the real axis); rewriting through w(z) = exp(-z^2) erfc(-iz) keeps every
-    factor bounded.
+    factor bounded.  Evaluated at |s|, |a| and mapped back by the symmetries
+    f(-s, a) = -conj f(s, a) and f(s, -a) = conj f(s, a).
     """
-    if a < 0:
-        return np.conj(_scaled_erf(s, -a))
+    a = np.asarray(a, dtype=float)
+    s_abs, a_abs = abs(s), np.abs(a)
+    if s_abs == 0:
+        out = -2j * dawsn(a_abs) / np.sqrt(np.pi)
+    else:
+        out = np.exp(-a_abs ** 2) - np.exp(-s_abs ** 2) \
+            * np.exp(2j * a_abs * s_abs) * wofz(a_abs + 1j * s_abs)
     if s < 0:
-        return -np.conj(_scaled_erf(-s, a))
-    if s == 0:
-        return -2j * dawsn(a) / np.sqrt(np.pi)
-    return np.exp(-a * a) - np.exp(-s * s) * np.exp(2j * a * s) \
-        * wofz(a + 1j * s)
+        out = -np.conj(out)
+    return np.where(a < 0, np.conj(out), out)
 
 
 def _tone_window_integral(delta, t0, tf, tau):
-    """int_{t0}^{tf} e^{i delta t} (envelope) dt, exactly."""
-    delta = float(delta)
+    """int_{t0}^{tf} e^{i delta t} (envelope) dt, exactly, for arrays of delta."""
+    delta = np.asarray(delta, dtype=float)
     if tau is None:
+        # int_0^1 e^{i x u} du has modulus sinc(x/2) = np.sinc(x/(2 pi))
         span = tf - t0
-        mid = 0.5 * (t0 + tf)
-        return span * np.exp(1j * delta * mid) * float(_sinc_half(np.array([delta * span]))[0])
+        return span * np.exp(0.5j * delta * (t0 + tf)) \
+            * np.sinc(delta * span / (2.0 * np.pi))
     a = 0.5 * delta * tau
     return 0.5 * np.sqrt(np.pi) * tau * (_scaled_erf(tf / tau, a)
                                          - _scaled_erf(t0 / tau, a))
@@ -338,29 +355,21 @@ def _window_check(dc: DeltaCoupling, t0, tf, meta):
     meta["window"] = (t0, tf)
 
 
-def _channel_integrals(dc: DeltaCoupling, t0, tf, kind, method):
-    """Matrix of int e^{-i w_res t} Delta(t) dt per channel."""
-    n = dc.n_modes
-    w = dc.basis.omegas
-    res = (w[:, None] - w[None, :]) if kind == "alpha" else (w[:, None] + w[None, :])
-    out = np.zeros((n, n), dtype=complex)
-    if method == "tones" or (method == "auto" and dc.has_tones):
-        tau = dc.gaussian_tau
-        for i in range(n):
-            for j in range(n):
-                tones = dc.channel_tones(kind, i, j)
-                acc = 0.0 + 0.0j
-                for omega_t, amp in tones:
-                    acc += amp * _tone_window_integral(omega_t - res[i, j],
-                                                       t0, tf, tau)
-                out[i, j] = acc
-        return out
-    # adaptive Gauss-Legendre in time on all channels at once
-    fn = dc.alpha if kind == "alpha" else dc.beta
+def _channel_integrals(dc: DeltaCoupling, t0, tf, method):
+    """(2, n, n) int e^{-i w_res t} Delta(t) dt per kind and channel."""
+    if method == "tones":
+        return np.sum(dc.amps * _tone_window_integral(dc.detunings, t0, tf,
+                                                      dc.tau), axis=1)
+    # adaptive Gauss-Legendre in time on all channels of one kind at once
+    return np.stack([_quadrature_integrals(dc, k, t0, tf) for k in (0, 1)])
+
+
+def _quadrature_integrals(dc: DeltaCoupling, k, t0, tf):
+    res = dc.resonances[k]
     order, prev = 32, None
     while order <= 16384:
         tq, wq = axis_rule(order, t0, tf)
-        vals = np.stack([fn(t) for t in tq])            # (nq, n, n)
+        vals = dc._at(k, tq)                            # (nq, n, n)
         phases = np.exp(-1j * np.einsum("ij,q->qij", res, tq))
         est = np.einsum("q,qij->ij", wq, vals * phases)
         if prev is not None and np.max(np.abs(est - prev)) <= \
@@ -373,22 +382,23 @@ def _channel_integrals(dc: DeltaCoupling, t0, tf, kind, method):
 
 def window_coefficients(dc: DeltaCoupling, static_basis: ModeBasis,
                         t0: float, tf: float,
-                        method: str = "auto") -> BogoliubovMatrix:
+                        method: str = "tones") -> BogoliubovMatrix:
     """First-order transformation over [t0, tf].
 
     alpha_nn = 1; alpha_nm (n != m) and beta_nm are epsilon times the
-    phase-weighted window integrals of the coupling channels.  Outside the
-    validity window 1 << omega_p dt << 1/epsilon a WindowViolation warning
-    is emitted and recorded in ``meta`` (not fatal).
+    phase-weighted window integrals of the coupling channels: exact per
+    tone with ``method="tones"``, adaptive Gauss-Legendre in time with
+    ``method="quadrature"``.  Outside the validity window
+    1 << omega_p dt << 1/epsilon a WindowViolation warning is emitted and
+    recorded in ``meta`` (not fatal).
     """
+    if method not in ("tones", "quadrature"):
+        raise InvalidArgument(
+            f"method must be 'tones' or 'quadrature', not {method!r}")
     meta = {}
     _window_check(dc, t0, tf, meta)
-    a_int = _channel_integrals(dc, t0, tf, "alpha", method)
-    b_int = _channel_integrals(dc, t0, tf, "beta", method)
-    n = dc.n_modes
-    alpha = dc.epsilon * a_int
+    alpha, beta = dc.epsilon * _channel_integrals(dc, t0, tf, method)
     np.fill_diagonal(alpha, 1.0)
-    beta = dc.epsilon * b_int
     out = BogoliubovMatrix(alpha, beta, meta)
     out.meta["first_order"] = True
     return out
@@ -401,55 +411,17 @@ def asymptotic_coefficients(dc: DeltaCoupling,
     Requires a decaying profile; with the unitary angular-frequency
     convention the result is epsilon * sqrt(2 pi) * F[channel](w_res).
     """
-    n = dc.n_modes
-    w = dc.basis.omegas
-    if dc.has_tones:
-        tau = dc.gaussian_tau
-        if tau is None:
-            raise NonDecayingProfile(
-                "asymptotic coefficients need a decaying envelope")
-        alpha = np.zeros((n, n), dtype=complex)
-        beta = np.zeros((n, n), dtype=complex)
-        for kind, out in (("alpha", alpha), ("beta", beta)):
-            for i in range(n):
-                for j in range(n):
-                    res = dc.resonant_frequency(kind, i, j)
-                    acc = 0.0 + 0.0j
-                    for omega_t, amp in dc.channel_tones(kind, i, j):
-                        acc += amp * np.sqrt(np.pi) * tau * np.exp(
-                            -0.25 * (res - omega_t) ** 2 * tau ** 2)
-                    out[i, j] = dc.epsilon * acc
-    elif dc.support is not None:
-        t0, tf = dc.support
-        alpha = dc.epsilon * _channel_integrals(dc, t0, tf, "alpha", "quadrature")
-        beta = dc.epsilon * _channel_integrals(dc, t0, tf, "beta", "quadrature")
-    else:
-        raise NonDecayingProfile(
-            "asymptotic coefficients need a decaying envelope or support")
+    tau = dc.tau
+    if tau is None:
+        raise NonDecayingProfile("asymptotic coefficients need a decaying envelope")
+    gauss = np.sqrt(np.pi) * tau * np.exp(-0.25 * dc.detunings ** 2 * tau ** 2)
+    alpha, beta = dc.epsilon * np.sum(dc.amps * gauss, axis=1)
     np.fill_diagonal(alpha, 1.0)
-    out = BogoliubovMatrix(alpha, beta, {"first_order": True, "asymptotic": True})
-    return out
+    return BogoliubovMatrix(alpha, beta, {"first_order": True, "asymptotic": True})
 
 
 # ---------------------------------------------------------------------------
 # equivalence reduction and resonance scan
-
-
-def _tone_tables(dc: DeltaCoupling):
-    if not dc.has_tones:
-        raise InvalidArgument(
-            "equivalence reduction needs accessible Fourier components")
-    n = dc.n_modes
-    tables = {}
-    for kind in ("alpha", "beta"):
-        table = {}
-        for i in range(n):
-            for j in range(n):
-                tones = dc.channel_tones(kind, i, j)
-                if tones:
-                    table[(i, j)] = tuple(tones)
-        tables[kind] = table
-    return tables
 
 
 def equivalence_reduce(dc: DeltaCoupling, static_basis: ModeBasis,
@@ -461,21 +433,13 @@ def equivalence_reduce(dc: DeltaCoupling, static_basis: ModeBasis,
     contribute to resonance, so it is dropped.  Diagonal alpha channels are
     dropped entirely (their first-order effect is a pure phase).
     """
-    tables = _tone_tables(dc)
-    out_tables = {"alpha": {}, "beta": {}}
-    for kind in ("alpha", "beta"):
-        for (i, j), tones in tables[kind].items():
-            if kind == "alpha" and i == j:
-                continue
-            res = dc.resonant_frequency(kind, i, j)
-            tol = freq_rtol * (1.0 + abs(res))
-            kept = tuple((wt, amp) for wt, amp in tones if abs(wt - res) <= tol)
-            if kept:
-                out_tables[kind][(i, j)] = kept
-    return DeltaCoupling(basis=dc.basis, epsilon=dc.epsilon,
-                         profile=dc.profile,
-                         tones_alpha=out_tables["alpha"],
-                         tones_beta=out_tables["beta"])
+    tol = freq_rtol * (1.0 + np.abs(dc.resonances))
+    keep = np.abs(dc.detunings) <= tol[:, None]
+    keep[0] &= ~np.eye(dc.n_modes, dtype=bool)
+    out = DeltaCoupling(basis=dc.basis, epsilon=dc.epsilon, profile=dc.profile,
+                        tones_alpha={})
+    out.freqs, out.amps = dc.freqs, np.where(keep, dc.amps, 0.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -510,26 +474,18 @@ def resonance_scan(dc: DeltaCoupling, static_basis: ModeBasis,
     time at exact resonance).  Diagonal alpha channels are excluded; beta
     channels are reported once per unordered pair.
     """
-    tables = _tone_tables(dc)
+    n = dc.n_modes
+    floor = rate_floor_rel * np.max(np.abs(dc.amps), initial=0.0)
+    matched = np.abs(dc.detunings) < detuning_window
+    rates = np.sum(np.where(matched, dc.amps, 0.0), axis=1)
+    keep = np.abs(rates) > floor
+    keep[0] &= ~np.eye(n, dtype=bool)
+    keep[1] &= np.triu(np.ones((n, n), dtype=bool))
     labels = dc.basis.labels
-    floor = 0.0
-    all_amps = [abs(a) for table in tables.values()
-                for tones in table.values() for _, a in tones]
-    if all_amps:
-        floor = rate_floor_rel * max(all_amps)
-    entries = []
-    for kind in ("alpha", "beta"):
-        for (i, j), tones in tables[kind].items():
-            if kind == "alpha" and i == j:
-                continue
-            if kind == "beta" and j < i:
-                continue
-            res = dc.resonant_frequency(kind, i, j)
-            rate = sum(amp for wt, amp in tones
-                       if abs(wt - res) < detuning_window)
-            if abs(rate) > floor:
-                entries.append(ResonanceEntry(
-                    kind=kind, n=labels[i], m=labels[j],
-                    resonant_frequency=res, rate=dc.epsilon * complex(rate)))
+    res = dc.resonances
+    entries = [ResonanceEntry(kind=KINDS[k], n=labels[i], m=labels[j],
+                              resonant_frequency=float(res[k, i, j]),
+                              rate=dc.epsilon * complex(rates[k, i, j]))
+               for k, i, j in zip(*np.nonzero(keep))]
     entries.sort(key=lambda e: -abs(e.rate))
     return ResonanceReport(tuple(entries))

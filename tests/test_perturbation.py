@@ -154,6 +154,18 @@ def test_window_quadrature_agrees_with_tones():
     assert np.max(np.abs(m_t.beta - m_q.beta)) < 1e-9 * np.max(np.abs(m_t.beta))
 
 
+def test_window_method_is_tones_or_quadrature():
+    dc = gw_delta_coupling(CFG)
+    T = 30 * np.pi / CFG.wave_frequency()
+    default = window_coefficients(dc, dc.basis, 0.0, T)
+    tones = window_coefficients(dc, dc.basis, 0.0, T, method="tones")
+    assert np.array_equal(default.alpha, tones.alpha)
+    assert np.array_equal(default.beta, tones.beta)
+    for bad in ("auto", "Tones", "gauss"):
+        with pytest.raises(InvalidArgument):
+            window_coefficients(dc, dc.basis, 0.0, T, method=bad)
+
+
 def test_detuning_follows_sinc_envelope():
     _, _, basis = gw_static_basis(CFG)
     i = basis.labels.index((1, 1, 1))
@@ -336,8 +348,5 @@ def test_missing_inputs_raise():
         delta_coupling_from_modes(basis, PerturbedEigenpairs(None), spec)
     with pytest.raises(MissingPerturbedModes):
         delta_coupling_operator_form(basis, spec)
-    dc_numeric = DeltaCoupling(basis=basis, epsilon=1e-5,
-                               fn_alpha=lambda t: np.zeros((basis.n_modes,) * 2),
-                               fn_beta=lambda t: np.zeros((basis.n_modes,) * 2))
     with pytest.raises(InvalidArgument):
-        equivalence_reduce(dc_numeric, basis)
+        DeltaCoupling(basis=basis, epsilon=1e-5)

@@ -186,6 +186,28 @@ def test_gw_neumann_limit_is_trivial():
         < 1e-6 * cfg.epsilon * np.pi / 8 + 1e-11
 
 
+def test_gw_neumann_cavity_with_strong_low_mode_runs():
+    # the (0,3,0) rate moves by its mass shift rate * dm^2 / (2 w^2) between
+    # regularization masses; at dm <= 1e-3 that stays below DM_AGREEMENT
+    cfg = GwCavityConfig(lengths=(1.0, 2.0, 1.0), epsilon=1e-5,
+                         boundary="neumann", n_modes_per_axis=(4, 4, 4))
+    res = gw_cavity_run(cfg)
+    assert res.meta["dm_rate_spread"] < 1e-7
+    rates = {e.n: abs(e.rate) / cfg.epsilon for e in res.report
+             if e.kind == "beta" and e.n == e.m}
+    assert abs(rates[(0, 3, 0)] - 3 * np.pi / 8) < 1e-6
+    assert abs(rates[(1, 1, 1)] - np.pi / 8) < 1e-6
+
+
+def test_gw_neumann_unsettled_limit_raises(monkeypatch):
+    import bogoflow.scenarios.gw_cavity as gw_cavity
+    monkeypatch.setattr(gw_cavity, "DM_SEQUENCE", (0.3, 0.1))
+    cfg = GwCavityConfig(lengths=(1.0, 2.0, 1.0), epsilon=1e-5,
+                         boundary="neumann", n_modes_per_axis=(2, 2, 2))
+    with pytest.raises(InvalidArgument, match="dm -> 0 limit"):
+        gw_cavity_run(cfg)
+
+
 def test_gw_exact_evolution_never_mixes_modes():
     from bogoflow.evolution import evolve_Q
     from bogoflow.scenarios import gw_exact_driver
