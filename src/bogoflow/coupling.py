@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidArgument, SymmetryViolation
 from .geometry import SyncSpacetime, q_factor, rbar_factor
 from .spectral import (ModeBasis, OperatorSpec, _combine, align_basis,
-                       instantaneous_basis)
+                       instantaneous_basis, separable_basis)
 
 #: dt = DT_FRACTION * (2 pi / omega_min) for derivative stencils.
 DT_FRACTION = 1e-4
@@ -53,44 +53,52 @@ def default_stencil_dt(basis: ModeBasis) -> float:
     return DT_FRACTION * 2.0 * np.pi / float(np.min(basis.omegas))
 
 
-def basis_derivatives(family: Callable, t: float, dt: Optional[float] = None
-                      ) -> BasisDerivatives:
-    """Central differences of mode functions and frequencies at time t.
+def _diagonal_drift(st: SyncSpacetime, t: float, kvecs: np.ndarray,
+                   w: np.ndarray):
+    """dw/dt = -(k^2 . ds/s^2)/(2w) and q = (1/2) sum ds/s of a diagonal
+    metric h = diag(s(t))."""
+    s = np.asarray(st.diag_scales(t), dtype=float)
+    ds = np.asarray(st.diag_scales_dt(t), dtype=float)
+    dw = -0.5 * (kvecs ** 2 @ (ds / s ** 2)) / w
+    return dw, 0.5 * float(np.sum(ds / s))
 
-    ``family`` maps t to a ModeBasis with stable labels; slices at t +/- dt
-    are aligned against the slice at t before differencing.  Families may
-    expose ``analytic_derivatives(t)`` to bypass the stencil; an explicit
+
+def basis_derivatives(family: Callable, basis: ModeBasis,
+                      dt: Optional[float] = None) -> BasisDerivatives:
+    """Central differences of mode functions and frequencies at ``basis.t``.
+
+    ``basis`` is ``family(basis.t)``; the slices ``family(t +/- dt)`` are
+    aligned against it before differencing.  Families may expose
+    ``analytic_derivatives(basis)`` to bypass the stencil; an explicit
     ``dt`` always forces the stencil.
     """
     analytic = getattr(family, "analytic_derivatives", None)
     if analytic is not None and dt is None:
-        out = analytic(t)
+        out = analytic(basis)
         if out is not None:
             return out
-    base = family(t)
+    t = basis.t
     if dt is None:
-        dt = default_stencil_dt(base)
-    plus = align_basis(base, family(t + dt))
-    minus = align_basis(base, family(t - dt))
+        dt = default_stencil_dt(basis)
+    plus = align_basis(basis, family(t + dt))
+    minus = align_basis(basis, family(t - dt))
     scale = 1.0 / (2.0 * dt)
     dmodes = tuple(
         _combine(lab, [(scale, p), (-scale, m)])
-        for p, m, lab in zip(plus.modes, minus.modes, base.labels))
+        for p, m, lab in zip(plus.modes, minus.modes, basis.labels))
     domega = (plus.omegas - minus.omegas) * scale
-    return BasisDerivatives(labels=base.labels, dmodes_dt=dmodes,
+    return BasisDerivatives(labels=basis.labels, dmodes_dt=dmodes,
                             domega_dt=domega, dt=dt)
 
 
-def coupling_matrices(st: SyncSpacetime, family: Callable, t: float,
-                      derivs: Optional[BasisDerivatives] = None,
+def coupling_matrices(basis: ModeBasis, derivs: BasisDerivatives,
                       sym_rtol: float = 1e-8) -> CouplingMatrices:
-    """Assemble ahat(t), bhat(t) by quadrature over the slice at t."""
-    basis = family(t)
-    if derivs is None:
-        derivs = basis_derivatives(family, t)
+    """Assemble ahat, bhat by quadrature over the slice of ``basis``, whose
+    spacetime and t they take; ``derivs`` are the basis' t-derivatives."""
     if derivs.labels != basis.labels:
         raise InvalidArgument("derivative labels do not match the basis")
 
+    st, t = basis.spacetime, basis.t
     ctx = basis.context
     w = basis.omegas
     xi = st.coupling
@@ -165,21 +173,18 @@ class InstantaneousFamily:
         fresh = instantaneous_basis(self.op, self.st, t, self.n_modes)
         return align_basis(self.reference, fresh)
 
-    def analytic_derivatives(self, t: float) -> Optional[BasisDerivatives]:
-        """Closed-form derivatives for diagonal metrics: the mode shapes are
-        fixed, only the normalization (q + dw/w)/2 and the frequency drift."""
-        st = self.st
-        if st.diag_scales is None:
+    def analytic_derivatives(self, basis: ModeBasis
+                             ) -> Optional[BasisDerivatives]:
+        """Closed-form derivatives of ``basis = self(basis.t)`` for diagonal
+        metrics: the mode shapes are fixed, only the normalization
+        (q + dw/w)/2 and the frequency drift."""
+        if self.st.diag_scales is None:
             return None
-        basis = self(t)
-        s = np.asarray(st.diag_scales(t), dtype=float)
-        ds = np.asarray(st.diag_scales_dt(t), dtype=float)
-        qv = 0.5 * float(np.sum(ds / s))
         # aligned degenerate modes may be combinations; their per-axis k^2
         # match the reference products carrying the same labels
         kvecs = np.array([m.wavenumbers for m in self.reference.modes])
         w = basis.omegas
-        dw = -0.5 * (kvecs ** 2 @ (ds / s ** 2)) / w
+        dw, qv = _diagonal_drift(self.st, basis.t, kvecs, w)
         dmodes = tuple(m.scaled(-0.5 * (qv + dw[i] / w[i]))
                        for i, m in enumerate(basis.modes))
         return BasisDerivatives(labels=basis.labels, dmodes_dt=dmodes,
@@ -201,7 +206,6 @@ class DiagonalFamilyDriver:
         self.op = op
         self.st = st
         if labels is not None:
-            from .spectral import separable_basis
             basis = separable_basis(op, st, t_ref, labels)
             n_modes = basis.n_modes
         else:
@@ -229,11 +233,8 @@ class DiagonalFamilyDriver:
 
     def __call__(self, t: float):
         st = self.st
-        s = np.asarray(st.diag_scales(t), dtype=float)
-        ds = np.asarray(st.diag_scales_dt(t), dtype=float)
-        w = np.sqrt(self.kvecs ** 2 @ (1.0 / s) + self.pot)
-        dw = -0.5 * (self.kvecs ** 2 @ (ds / s ** 2)) / w
-        qv = 0.5 * float(np.sum(ds / s))
+        w = self.omegas(t)
+        dw, qv = _diagonal_drift(st, t, self.kvecs, w)
         n = self.n_modes
         ahat = np.zeros((n, n), dtype=complex)
         bhat = np.zeros((n, n), dtype=complex)
@@ -252,12 +253,18 @@ class DiagonalFamilyDriver:
 def quadrature_driver(st: SyncSpacetime, family: Callable,
                       dt: Optional[float] = None,
                       sym_rtol: float = 1e-8) -> Callable:
-    """Driver evaluating coupling matrices by quadrature at every call."""
+    """Driver evaluating coupling matrices by quadrature at every call.
+
+    Each call evaluates ``family`` (whose bases must live on ``st``) once at
+    t and passes that basis on; only the stencil adds t +/- dt.
+    """
 
     def drive(t: float):
         basis = family(t)
-        derivs = basis_derivatives(family, t, dt)
-        cm = coupling_matrices(st, family, t, derivs, sym_rtol=sym_rtol)
+        if basis.spacetime is not st:
+            raise InvalidArgument("family bases live on another spacetime")
+        derivs = basis_derivatives(family, basis, dt)
+        cm = coupling_matrices(basis, derivs, sym_rtol=sym_rtol)
         return basis.omegas, cm
 
     return drive

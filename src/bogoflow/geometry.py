@@ -128,16 +128,6 @@ class SyncSpacetime:
     def dim(self) -> int:
         return self.domain.dim
 
-    def metric_at(self, t, x) -> np.ndarray:
-        pts, single = _as_points(x, self.dim)
-        m = np.asarray(self.h(t, pts), dtype=float)
-        return m[0] if single else m
-
-    def metric_dt_at(self, t, x) -> np.ndarray:
-        pts, single = _as_points(x, self.dim)
-        m = np.asarray(self.dh_dt(t, pts), dtype=float)
-        return m[0] if single else m
-
     def curvature_at(self, t, x):
         if self.spatial_curvature is None:
             return np.zeros(np.shape(np.asarray(x))[:-1] or ())

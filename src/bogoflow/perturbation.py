@@ -58,14 +58,6 @@ class HarmonicProfile:
 
     __call__ = value
 
-    @property
-    def omega_p(self) -> float:
-        return max(abs(w) for w, _ in self.tones) if self.tones else 0.0
-
-    @property
-    def decaying(self) -> bool:
-        return self.gaussian_tau is not None
-
 
 def sin_profile(omega: float, gaussian_tau: Optional[float] = None) -> HarmonicProfile:
     return HarmonicProfile(((omega, -0.5j), (-omega, 0.5j)), gaussian_tau)
@@ -305,7 +297,8 @@ def delta_coupling_operator_form(static_basis: ModeBasis,
 
 
 # ---------------------------------------------------------------------------
-# window / asymptotic coefficients
+# window / asymptotic coefficients; each ``static_basis`` below must equal
+# ``dc.basis`` in labels and frequencies, else InvalidArgument
 
 
 def _scaled_erf(s: float, a):
@@ -341,11 +334,18 @@ def _tone_window_integral(delta, t0, tf, tau):
                                          - _scaled_erf(t0 / tau, a))
 
 
+def _check_static_basis(dc: DeltaCoupling, static_basis: ModeBasis):
+    if static_basis.labels != dc.basis.labels or not np.array_equal(
+            static_basis.omegas, dc.basis.omegas):
+        raise InvalidArgument(
+            "static_basis differs from the basis the coupling was built on")
+
+
 def _window_check(dc: DeltaCoupling, t0, tf, meta):
-    wp = dc.profile.omega_p if dc.profile is not None else None
+    wp = float(np.max(np.abs(dc.freqs), initial=0.0))
     span = abs(tf - t0)
     ok = True
-    if wp is not None and wp > 0 and dc.epsilon > 0:
+    if wp > 0 and dc.epsilon > 0:
         ok = (wp * span >= 1.0) and (wp * span <= 1.0 / dc.epsilon)
     if not ok:
         warnings.warn(
@@ -389,12 +389,13 @@ def window_coefficients(dc: DeltaCoupling, static_basis: ModeBasis,
     phase-weighted window integrals of the coupling channels: exact per
     tone with ``method="tones"``, adaptive Gauss-Legendre in time with
     ``method="quadrature"``.  Outside the validity window
-    1 << omega_p dt << 1/epsilon a WindowViolation warning is emitted and
-    recorded in ``meta`` (not fatal).
+    1 << omega_p dt << 1/epsilon, with omega_p the largest |tone frequency|,
+    a WindowViolation warning is emitted and recorded in ``meta`` (not fatal).
     """
     if method not in ("tones", "quadrature"):
         raise InvalidArgument(
             f"method must be 'tones' or 'quadrature', not {method!r}")
+    _check_static_basis(dc, static_basis)
     meta = {}
     _window_check(dc, t0, tf, meta)
     alpha, beta = dc.epsilon * _channel_integrals(dc, t0, tf, method)
@@ -411,6 +412,7 @@ def asymptotic_coefficients(dc: DeltaCoupling,
     Requires a decaying profile; with the unitary angular-frequency
     convention the result is epsilon * sqrt(2 pi) * F[channel](w_res).
     """
+    _check_static_basis(dc, static_basis)
     tau = dc.tau
     if tau is None:
         raise NonDecayingProfile("asymptotic coefficients need a decaying envelope")
@@ -433,6 +435,7 @@ def equivalence_reduce(dc: DeltaCoupling, static_basis: ModeBasis,
     contribute to resonance, so it is dropped.  Diagonal alpha channels are
     dropped entirely (their first-order effect is a pure phase).
     """
+    _check_static_basis(dc, static_basis)
     tol = freq_rtol * (1.0 + np.abs(dc.resonances))
     keep = np.abs(dc.detunings) <= tol[:, None]
     keep[0] &= ~np.eye(dc.n_modes, dtype=bool)
@@ -474,6 +477,7 @@ def resonance_scan(dc: DeltaCoupling, static_basis: ModeBasis,
     time at exact resonance).  Diagonal alpha channels are excluded; beta
     channels are reported once per unordered pair.
     """
+    _check_static_basis(dc, static_basis)
     n = dc.n_modes
     floor = rate_floor_rel * np.max(np.abs(dc.amps), initial=0.0)
     matched = np.abs(dc.detunings) < detuning_window

@@ -141,9 +141,6 @@ class SeparableMode:
     def d2_terms(self, axis):
         return tuple((c, f.d2(axis)) for c, f in self.terms)
 
-    def d1_terms(self, axis):
-        return tuple((c, f.d1(axis)) for c, f in self.terms)
-
 
 def combine_separable(label, coef_modes) -> SeparableMode:
     """Linear combination of separable modes as a new mode."""
@@ -296,9 +293,6 @@ class ModeBasis:
     def context(self) -> SliceContext:
         return SliceContext(self.spacetime, self.t)
 
-    def index_of(self, label) -> int:
-        return self.labels.index(label)
-
     def gram(self, conj=True, weight=None):
         return self.context.gram(self.modes, self.modes, conj=conj, weight=weight)
 
@@ -353,22 +347,11 @@ def apply_operator(op: OperatorSpec, st: SyncSpacetime, t: float,
 
 def _axis_spectrum(kind: str, L: float, count: int):
     """First ``count`` axis factors with ascending k^2 for one axis."""
-    out = []
     if kind == "periodic":
-        js = [0]
-        for j in range(1, count + 1):
-            js.extend((j, -j))
-        for j in js[:2 * count + 1]:
-            out.append((j, AxisFactor("exp", 2.0 * np.pi * j / L)))
-    elif kind == "dirichlet":
-        for j in range(1, count + 1):
-            out.append((j, AxisFactor("sin", np.pi * j / L)))
-    elif kind == "neumann":
-        for j in range(0, count + 1):
-            out.append((j, AxisFactor("cos", np.pi * j / L)))
+        js = [0] + [sj for j in range(1, count + 1) for sj in (j, -j)]
     else:
-        raise InvalidArgument(f"no analytic family for boundary {kind!r}")
-    return out
+        js = range(1 if kind == "dirichlet" else 0, count + 1)
+    return [(j, _label_factor(kind, L, j)) for j in js]
 
 
 def _axis_kinds(op: OperatorSpec, st: SyncSpacetime):
@@ -621,12 +604,14 @@ def align_basis(prev: ModeBasis, next_basis: ModeBasis,
 
     Within each degenerate eigenspace the previous modes are projected onto
     the new eigenspace and re-orthogonalized in label order; single modes
-    only receive a global phase maximizing the real overlap.
+    only receive a global phase maximizing the real overlap.  Both read
+    one overlap Gram of all previous against all new modes.
     """
     if set(prev.labels) != set(next_basis.labels):
         raise DegeneracyMismatch("label sets differ between slices")
 
     ctx = next_basis.context
+    overlaps = ctx.gram(prev.modes, next_basis.modes, conj=True)
     groups_prev = _clusters(prev.omegas, degeneracy_rtol)
     groups_next = _clusters(next_basis.omegas, degeneracy_rtol)
     next_group_by_label = {}
@@ -645,13 +630,13 @@ def align_basis(prev: ModeBasis, next_basis: ModeBasis,
         next_modes = [next_basis.modes[i] for i in next_idx]
         omega = float(next_basis.omegas[next_idx[0]])
         if len(g) == 1:
-            z = ctx.gram([prev.modes[g[0]]], next_modes, conj=True)[0, 0]
+            z = overlaps[g[0], next_idx[0]]
             phase = 1.0 if abs(z) == 0 else z / abs(z)
             aligned[prev_labels[0]] = (next_modes[0].scaled(phase), omega)
         else:
             # project previous modes on the new eigenspace, then Gram-Schmidt
             # in label order; inner products in L2(dV) of the new slice
-            overlap = ctx.gram([prev.modes[i] for i in g], next_modes, conj=True)
+            overlap = overlaps[np.ix_(g, next_idx)]
             gram_next = ctx.gram(next_modes, next_modes, conj=True)
             coefs = np.linalg.solve(gram_next.T, overlap.T).T  # rows: targets
             new_modes = []

@@ -128,7 +128,8 @@ def test_criterion_4_bogoliubov_identities():
         op = OperatorSpec(boundary=st.boundary)
         fam = InstantaneousFamily(op, st, 5, t_ref=0.0)
         for t in (-1.0, 0.0, 1.5):
-            cm = coupling_matrices(st, fam, t, basis_derivatives(fam, t, 3e-5))
+            b = fam(t)
+            cm = coupling_matrices(b, basis_derivatives(fam, b, 3e-5))
             scale = max(np.max(np.abs(cm.alpha_hat)),
                         np.max(np.abs(cm.beta_hat)))
             assert np.max(np.abs(cm.alpha_hat + cm.alpha_hat.conj().T)) \

@@ -23,9 +23,10 @@ def tanh_torus():
 
 def test_static_family_derivatives_and_coupling_vanish(long_torus):
     fam = InstantaneousFamily(make_operator(long_torus), long_torus, 5)
-    d = basis_derivatives(fam, 0.0, dt=1e-3)
+    b = fam(0.0)
+    d = basis_derivatives(fam, b, dt=1e-3)
     assert np.max(np.abs(d.domega_dt)) <= 1e-12
-    cm = coupling_matrices(long_torus, fam, 0.0, d)
+    cm = coupling_matrices(b, d)
     assert np.max(np.abs(cm.alpha_hat)) <= 1e-12
     assert np.max(np.abs(cm.beta_hat)) <= 1e-12
 
@@ -37,7 +38,7 @@ def test_flrw_derivative_is_normalization_drift():
     fam = InstantaneousFamily(make_operator(st), st, 5, t_ref=0.3)
     t, dt = 0.3, 1e-4
     basis = fam(t)
-    d = basis_derivatives(fam, t, dt)
+    d = basis_derivatives(fam, basis, dt)
     q = adot(t) / a(t)
     for i, lab in enumerate(basis.labels):
         w = basis.omegas[i]
@@ -54,8 +55,9 @@ def test_flrw_coupling_matches_closed_form():
     st, a, adot = tanh_torus()
     fam = InstantaneousFamily(make_operator(st), st, 5, t_ref=0.3)
     t = 0.3
-    d = basis_derivatives(fam, t, 1e-4)
-    cm = coupling_matrices(st, fam, t, d)
+    b = fam(t)
+    d = basis_derivatives(fam, b, 1e-4)
+    cm = coupling_matrices(b, d)
     basis = fam.reference
     assert np.max(np.abs(cm.alpha_hat)) < 1e-10
     expect = -adot(t) * M ** 2 / (2 * a(t) * basis.omegas ** 2)
@@ -81,7 +83,8 @@ def test_massless_flrw_coupling_trivial():
             return separable_basis(op, st, t, labels)
 
     fam = Fam()
-    cm = coupling_matrices(st, fam, 0.3, basis_derivatives(fam, 0.3, 1e-4))
+    b = fam(0.3)
+    cm = coupling_matrices(b, basis_derivatives(fam, b, 1e-4))
     # entries cancel exactly; what remains is O(dt^2) stencil noise
     assert np.max(np.abs(cm.beta_hat)) < 5e-10
     assert np.max(np.abs(cm.alpha_hat)) < 5e-10
@@ -91,11 +94,12 @@ def test_halving_dt_is_second_order():
     st, a, adot = tanh_torus()
     fam = InstantaneousFamily(make_operator(st), st, 3, t_ref=0.3)
     t = 0.3
-    ref = coupling_matrices(st, fam, t, basis_derivatives(fam, t, 1e-5),
+    b = fam(t)
+    ref = coupling_matrices(b, basis_derivatives(fam, b, 1e-5),
                             sym_rtol=1e-4).beta_hat
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        cm = coupling_matrices(st, fam, t, basis_derivatives(fam, t, dt),
+        cm = coupling_matrices(b, basis_derivatives(fam, b, dt),
                                sym_rtol=1e-4)
         errs.append(np.max(np.abs(cm.beta_hat - ref)))
     assert 3.0 < errs[0] / errs[1] < 5.0
@@ -106,9 +110,9 @@ def test_symmetry_violation_detected():
     st, a, adot = tanh_torus()
     fam = InstantaneousFamily(make_operator(st), st, 3, t_ref=0.3)
     # a deliberately inconsistent stencil: derivatives taken at a different time
-    bad = basis_derivatives(fam, 0.8, 1e-4)
+    bad = basis_derivatives(fam, fam(0.8), 1e-4)
     with pytest.raises(SymmetryViolation):
-        coupling_matrices(st, fam, 0.3, bad, sym_rtol=1e-10)
+        coupling_matrices(fam(0.3), bad, sym_rtol=1e-10)
 
 
 def test_gw_family_frequency_drift():
@@ -132,11 +136,11 @@ def test_analytic_derivatives_match_stencil():
     st, a, adot = tanh_torus()
     fam = InstantaneousFamily(make_operator(st), st, 5, t_ref=0.3)
     t = 0.3
-    exact = basis_derivatives(fam, t)          # analytic path (no dt given)
-    assert exact.dt == 0.0
-    stencil = basis_derivatives(fam, t, 1e-4)
-    assert np.max(np.abs(exact.domega_dt - stencil.domega_dt)) < 1e-8
     b = fam(t)
+    exact = basis_derivatives(fam, b)          # analytic path (no dt given)
+    assert exact.dt == 0.0
+    stencil = basis_derivatives(fam, b, 1e-4)
+    assert np.max(np.abs(exact.domega_dt - stencil.domega_dt)) < 1e-8
     g_e = b.context.gram(exact.dmodes_dt, b.modes, conj=True)
     g_s = b.context.gram(stencil.dmodes_dt, b.modes, conj=True)
     assert np.max(np.abs(g_e - g_s)) < 1e-8
@@ -148,7 +152,8 @@ def test_diagonal_driver_matches_quadrature_coupling():
     fam = InstantaneousFamily(op, st, 5, t_ref=0.3)
     drv = DiagonalFamilyDriver(op, st, 5, t_ref=0.3)
     t = 0.3
-    cm_q = coupling_matrices(st, fam, t, basis_derivatives(fam, t, 1e-4))
+    b = fam(t)
+    cm_q = coupling_matrices(b, basis_derivatives(fam, b, 1e-4))
     w, cm_d = drv(t)
     assert np.max(np.abs(cm_d.beta_hat - cm_q.beta_hat)) < 1e-10
     assert np.max(np.abs(w - fam(t).omegas)) < 1e-12
@@ -174,3 +179,39 @@ def test_driver_requires_closed_pairs():
     op = make_operator(st)
     with pytest.raises(InvalidArgument):
         DiagonalFamilyDriver(op, st, 4)  # 4 lowest = {0, +-1, one of +-2}
+
+
+class CountingFamily:
+    """Wraps a family and records every time it is evaluated at."""
+
+    def __init__(self, family):
+        self.family = family
+        self.times = []
+        self.analytic_derivatives = getattr(family, "analytic_derivatives",
+                                            None)
+
+    def __call__(self, t):
+        self.times.append(t)
+        return self.family(t)
+
+
+def test_driver_solves_each_slice_once():
+    from bogoflow.coupling import quadrature_driver
+    st, a, adot = tanh_torus()
+    fam = InstantaneousFamily(make_operator(st), st, 3)
+    t, dt = 0.3, 1e-4
+    stencil = CountingFamily(fam)
+    quadrature_driver(st, stencil, dt=dt)(t)
+    assert sorted(stencil.times) == [t - dt, t, t + dt]
+    analytic = CountingFamily(fam)
+    quadrature_driver(st, analytic)(t)
+    assert analytic.times == [t]
+
+
+def test_driver_rejects_family_on_another_spacetime():
+    from bogoflow.coupling import quadrature_driver
+    st, a, adot = tanh_torus()
+    other, _, _ = tanh_torus()
+    fam = InstantaneousFamily(make_operator(st), st, 3)
+    with pytest.raises(InvalidArgument):
+        quadrature_driver(other, fam)(0.0)

@@ -1,0 +1,54 @@
+"""Smoke test of the benchmark's layer tracer (perfbench/tracer.py).
+
+The tracer wraps bogoflow's public functions by name from outside the
+program, so an API change can break ``perfbench/run.py --trace 1`` without
+failing any library test.  One traced stencil driver call catches that.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+LAYER_MODULES = ("bogoflow", "bogoflow.kernels", "bogoflow.kernels.reference",
+                 "bogoflow.integrators", "bogoflow.evolution",
+                 "bogoflow.coupling", "bogoflow.spectral",
+                 "bogoflow.perturbation", "bogoflow.quadrature",
+                 "bogoflow.scenarios", "bogoflow.scenarios.flrw",
+                 "bogoflow.scenarios.gw_cavity", "bogoflow.cli")
+
+
+def load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_one_stencil_driver_call():
+    for name in LAYER_MODULES:
+        importlib.import_module(name)
+    from bogoflow import coupling, flrw_torus, spectral
+    tracing = load_tracer()
+
+    a = lambda t: np.sqrt(2.5 + 1.5 * np.tanh(t))
+    st = flrw_torus(a, None, length=1000.0, mass=0.1)
+    fam = coupling.InstantaneousFamily(
+        spectral.OperatorSpec(boundary=st.boundary), st, 3)
+    originals = (coupling.coupling_matrices, spectral.SliceContext.gram)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        coupling.quadrature_driver(st, fam, dt=1e-4)(0.3)
+    finally:
+        tracer.uninstall()
+    m = tracing.op_metrics(tracer.take())
+
+    assert m["coupling.driver_calls"] == 1
+    assert m["coupling.stencil_calls"] == 1
+    assert m["spectral.basis_solves"] == 3
+    assert m["spectral.align_calls"] == 5
+    assert (coupling.coupling_matrices, spectral.SliceContext.gram) == originals

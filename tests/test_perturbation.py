@@ -341,6 +341,39 @@ def test_window_violation_warning():
     assert m.meta["window_ok"] is False
 
 
+def test_window_violation_warning_for_tone_tables():
+    # no profile: omega_p comes from the tone frequencies themselves
+    _, _, basis = gw_static_basis(CFG)
+    dc = DeltaCoupling(basis=basis, epsilon=1e-5, tones_alpha={},
+                       tones_beta={(0, 0): ((9.4, 1.0 + 0j),)})
+    with pytest.warns(WindowViolation):
+        m = window_coefficients(dc, basis, 0.0, 0.01)
+    assert m.meta["window_ok"] is False
+
+
+def test_static_basis_must_be_the_coupling_basis():
+    dc = gw_delta_coupling(CFG)
+    other = GwCavityConfig(lengths=(1.0, 1.5, 1.0), epsilon=1e-5,
+                           n_modes_per_axis=(2, 2, 2))
+    _, _, foreign = gw_static_basis(other)
+    assert foreign.labels == dc.basis.labels
+    _, _, rebuilt = gw_static_basis(CFG)
+    assert rebuilt is not dc.basis
+    T = 2 * np.pi / CFG.wave_frequency() * 200
+    window_coefficients(dc, rebuilt, 0.0, T)
+    for call in (lambda b: window_coefficients(dc, b, 0.0, T),
+                 lambda b: equivalence_reduce(dc, b),
+                 lambda b: resonance_scan(dc, b, CFG.detuning_window)):
+        with pytest.raises(InvalidArgument):
+            call(foreign)
+    gauss = gw_delta_coupling(GwCavityConfig(
+        lengths=CFG.lengths, epsilon=1e-5, tau=30.0,
+        n_modes_per_axis=(2, 2, 2)))
+    asymptotic_coefficients(gauss, rebuilt)
+    with pytest.raises(InvalidArgument):
+        asymptotic_coefficients(gauss, foreign)
+
+
 def test_missing_inputs_raise():
     _, _, basis = gw_static_basis(CFG)
     spec = PerturbationSpec(epsilon=1e-5, profile=sin_profile(1.0))
