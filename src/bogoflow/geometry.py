@@ -137,7 +137,8 @@ class SyncSpacetime:
 
     def sqrt_det_h(self, t, x) -> np.ndarray:
         pts, single = _as_points(x, self.dim)
-        det = np.linalg.det(np.asarray(self.h(t, pts), dtype=float))
+        hm = np.asarray(self.h(t, pts), dtype=float)
+        det = hm[:, 0, 0] if self.dim == 1 else np.linalg.det(hm)
         if np.any(det <= 0):
             raise SingularMetric(f"det h <= 0 at t={t}")
         root = np.sqrt(det)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import dawsn, wofz
 
 from .errors import (InvalidArgument, MissingPerturbedModes,
-                     NonDecayingProfile, WindowViolation)
+                     NonDecayingProfile, QuadratureFailure, WindowViolation)
 from .evolution import BogoliubovMatrix
 from .quadrature import axis_rule
 from .spectral import ModeBasis, SeparableMode
@@ -377,7 +377,9 @@ def _quadrature_integrals(dc: DeltaCoupling, k, t0, tf):
             return est
         prev = est
         order *= 2
-    return prev
+    raise QuadratureFailure(
+        f"window integrals over ({t0}, {tf}) not converged up to "
+        f"Gauss-Legendre order {order // 2}")
 
 
 def window_coefficients(dc: DeltaCoupling, static_basis: ModeBasis,

@@ -9,7 +9,10 @@ Two solver paths produce a :class:`ModeBasis` on a time slice:
   conditions.
 
 Modes are normalized so that the slice integral of |Phi_n|^2 against the
-metric volume element equals 1/(2 omega_n).
+metric volume element equals 1/(2 omega_n).  Slice integrals (Grams) of
+separable modes are exact; Grams of grid modes are the discrete inner
+product sum M a b of the FD eigenproblem K Phi = omega^2 M Phi on the
+modes' own grid, so FD bases are orthonormal to rounding.
 """
 
 import itertools
@@ -152,7 +155,11 @@ def combine_separable(label, coef_modes) -> SeparableMode:
 
 @dataclass(frozen=True)
 class GridMode:
-    """1D eigenfunction sampled on a uniform grid, evaluated by cubic spline."""
+    """1D eigenfunction sampled on a uniform FD grid.
+
+    Grams read the grid values directly; ``value`` interpolates them by
+    cubic spline for evaluation at arbitrary points.
+    """
 
     label: tuple
     x: np.ndarray
@@ -177,16 +184,17 @@ class GridMode:
         return replace(self, values=self.values * c)
 
 
-def _is_separable(modes) -> bool:
-    return all(isinstance(m, SeparableMode) for m in modes)
-
-
 # ---------------------------------------------------------------------------
 # slice integrals
 
 
 class SliceContext:
-    """Quadrature context for mode pair integrals on one slice."""
+    """Mode pair integrals on one slice.
+
+    Separable modes integrate exactly, or by Gauss-Legendre quadrature
+    under a callable weight (1D); grid modes use the FD mass matrix M of
+    their own grid.
+    """
 
     def __init__(self, spacetime: SyncSpacetime, t: float):
         self.spacetime = spacetime
@@ -201,19 +209,25 @@ class SliceContext:
     def gram(self, modes_a, modes_b, conj=True, weight=None):
         """Matrix of integrals dV * A_n * (B_m or B_m*) * weight.
 
-        ``weight`` may be None, a scalar, or a callable of points; callables
-        force the quadrature path (1D only).
+        ``weight`` may be None, a scalar, or a callable of points.  A Gram
+        of grid modes is sum_p W_p A_n(x_p) B_m(x_p) with W = M * weight;
+        grid and separable modes cannot share one Gram.
         """
         st = self.spacetime
-        scalar_weight = weight is None or np.isscalar(weight)
-        if (_is_separable(modes_a) and _is_separable(modes_b)
-                and st.diag_scales is not None and scalar_weight):
+        modes = list(modes_a) + list(modes_b)
+        n_grid = sum(isinstance(m, GridMode) for m in modes)
+        if n_grid:
+            if n_grid != len(modes):
+                raise InvalidArgument(
+                    "a Gram cannot mix grid and separable modes")
+            return self._gram_fd(modes_a, modes_b, conj, weight)
+        if st.diag_scales is not None and (weight is None or np.isscalar(weight)):
             return self._gram_separable(modes_a, modes_b, conj,
                                         1.0 if weight is None else complex(weight))
         if st.dim != 1:
             raise InvalidArgument(
                 "generic pair integrals are only implemented in 1D")
-        return self._gram_grid(modes_a, modes_b, conj, weight)
+        return self._gram_quadrature(modes_a, modes_b, conj, weight)
 
     def _gram_separable(self, modes_a, modes_b, conj, weight):
         L = self.spacetime.domain.lengths
@@ -237,29 +251,33 @@ class SliceContext:
                 out[i, j] = acc
         return out * root_h * weight
 
-    def _quad_nodes(self, modes):
+    def _gram_quadrature(self, modes_a, modes_b, conj, weight):
         L = self.spacetime.domain.lengths[0]
-        kmax = 0.0
-        for m in modes:
-            if isinstance(m, GridMode):
-                kmax = max(kmax, np.pi / (m.x[1] - m.x[0]) * 0.5)
-            elif isinstance(m, SeparableMode):
-                for _, f in m.terms:
-                    kmax = max(kmax, abs(f.factors[0].k))
+        kmax = max((abs(f.factors[0].k) for m in list(modes_a) + list(modes_b)
+                    for _, f in m.terms), default=0.0)
         order = int(min(2048, max(64, 1.5 * kmax * L / np.pi + 32)))
-        return axis_rule(order, 0.0, L)
-
-    def _gram_grid(self, modes_a, modes_b, conj, weight):
-        x, w = self._quad_nodes(list(modes_a) + list(modes_b))
+        x, w = axis_rule(order, 0.0, L)
         pts = x[:, None]
+        va = np.array([m.value(pts) for m in modes_a])
+        vb = np.array([m.value(pts) for m in modes_b])
+        return self._weighted_products(va, vb, w, pts, conj, weight)
+
+    def _gram_fd(self, modes_a, modes_b, conj, weight):
+        x, periodic = modes_a[0].x, modes_a[0].periodic
+        for m in list(modes_a) + list(modes_b):
+            if m.periodic != periodic or not np.array_equal(m.x, x):
+                raise InvalidArgument("grid modes live on different grids")
+        va = np.array([m.values for m in modes_a])
+        vb = np.array([m.values for m in modes_b])
+        lump = _trapezoid_lump(len(x), x[1] - x[0], periodic)
+        return self._weighted_products(va, vb, lump, x[:, None], conj, weight)
+
+    def _weighted_products(self, va, vb, w, pts, conj, weight):
+        """sum_p w_p sqrt(det h)(x_p) weight(x_p) va[i, p] (vb[j, p] or conj)."""
         wfull = w * self.spacetime.sqrt_det_h(self.t, pts)
         if weight is not None:
             wfull = wfull * (weight(pts) if callable(weight) else weight)
-        va = np.array([m.value(pts) for m in modes_a])
-        vb = np.array([m.value(pts) for m in modes_b])
-        if conj:
-            vb = np.conj(vb)
-        return np.einsum("ip,p,jp->ij", va, wfull, vb)
+        return (va * wfull) @ (np.conj(vb) if conj else vb).T
 
 
 # ---------------------------------------------------------------------------
@@ -446,54 +464,56 @@ def _analytic_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
 # 1D finite-difference eigenbasis
 
 
+def _trapezoid_lump(n: int, dx: float, periodic: bool) -> np.ndarray:
+    """Trapezoid weights of ``n`` uniform nodes ``dx`` apart covering a slice:
+    dx everywhere on a torus, dx/2 at the two ends of an interval.  Times
+    sqrt(h_xx) they are the diagonal FD mass matrix M."""
+    lump = np.full(n, dx)
+    if not periodic:
+        lump[0] = lump[-1] = 0.5 * dx
+    return lump
+
+
 def fd_operator_1d(op: OperatorSpec, st: SyncSpacetime, t: float):
     """Assemble the self-adjoint FD eigenproblem on a uniform 1D grid.
 
     Returns (x_nodes, K, mass) with K Phi = omega^2 diag(mass) Phi; K comes
     from the flux form -d/dx(p dPhi/dx) with p = 1/sqrt(h_xx), plus w*V with
-    weight w = sqrt(h_xx).  Robin conditions add exactly gamma at boundary
-    diagonal entries (p * sqrt(h) = 1).
+    weight w = sqrt(h_xx), and mass = w * lump (:func:`_trapezoid_lump`).
+    Dirichlet grids keep the interior nodes only.  Robin conditions add
+    exactly gamma at boundary diagonal entries (p * sqrt(h) = 1).
     """
     L = st.domain.lengths[0]
     periodic = st.domain.periodic[0]
     M = op.fd_points
     dx = L / M
 
-    def h_xx(xv):
-        return np.asarray(st.h(t, np.asarray(xv, dtype=float)[:, None]),
-                          dtype=float)[:, 0, 0]
-
     mids = (np.arange(M) + 0.5) * dx        # all M cell midpoints on [0, L]
-    p = 1.0 / np.sqrt(h_xx(mids))
+    p = 1.0 / st.sqrt_det_h(t, mids[:, None])
+    x = np.arange(M if periodic else M + 1) * dx
+    lump = _trapezoid_lump(len(x), dx, periodic)
 
     if periodic:
-        x = np.arange(M) * dx
-        w = np.sqrt(h_xx(x))
+        w = st.sqrt_det_h(t, x[:, None])
         V = op.potential(st, t, x[:, None])
-        main = (p + np.roll(p, 1)) / dx + w * V * dx
+        main = (p + np.roll(p, 1)) / dx + w * V * lump
         rows = np.arange(M)
         cols = (rows + 1) % M
         link = scipy.sparse.coo_matrix((-p / dx, (rows, cols)), shape=(M, M))
         K = (scipy.sparse.diags(main) + link + link.T).tocsr()
-        return x, K, w * dx
+        return x, K, w * lump
 
     if op.boundary.kind == "dirichlet":
-        x = np.arange(1, M) * dx            # interior nodes only
-        n = len(x)
+        x, lump = x[1:-1], lump[1:-1]
         main = (p[:-1] + p[1:]) / dx        # node j+1 sees p_j and p_{j+1}
         off = -p[1:-1] / dx
-        lump = np.full(n, dx)
     else:
-        x = np.arange(M + 1) * dx
-        n = len(x)
-        main = np.zeros(n)
+        main = np.zeros(len(x))
         main[:-1] += p / dx
         main[1:] += p / dx
         off = -p / dx
-        lump = np.full(n, dx)
-        lump[0] = lump[-1] = 0.5 * dx
 
-    w = np.sqrt(h_xx(x))
+    w = st.sqrt_det_h(t, x[:, None])
     V = op.potential(st, t, x[:, None])
     main = main + w * V * lump
     if op.boundary.kind == "robin":
@@ -523,9 +543,8 @@ def _fd_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
         vals, vecs = vals[order], vecs[:, order]
     else:
         D = 1.0 / rootm
-        Kd = K.todia()
-        main = Kd.diagonal(0) * D * D
-        sub = Kd.diagonal(-1) * D[:-1] * D[1:]
+        main = K.diagonal() * D * D
+        sub = K.diagonal(-1) * D[:-1] * D[1:]
         vals, vecs = scipy.linalg.eigh_tridiagonal(
             main, sub, select="i", select_range=(0, n_modes - 1))
 
@@ -536,21 +555,20 @@ def _fd_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
         raise ZeroMode(f"omega^2 = {vals[0]:.3e}; consider a mass shift")
 
     omegas = np.sqrt(vals)
+    # sum mass |phi|^2 = 1 -> rescale to 1/(2w); Dirichlet modes carry
+    # their zero end nodes so every mode lives on the whole grid
+    phis = vecs / rootm[:, None] / np.sqrt(2.0 * omegas)
+    if op.boundary.kind == "dirichlet":
+        x = np.concatenate(([0.0], x, [st.domain.lengths[0]]))
+        phis = np.pad(phis, ((1, 1), (0, 0)))
     modes, labels = [], []
     for i in range(n_modes):
-        phi = vecs[:, i] / rootm
-        # discrete normalization sum w*dx*|phi|^2 = 1 -> rescale to 1/(2w)
-        phi = phi / np.sqrt(2.0 * omegas[i])
+        phi = phis[:, i]
         jmax = int(np.argmax(np.abs(phi)))
-        if phi[jmax].real < 0 or (phi[jmax].real == 0 and phi[jmax].imag < 0):
+        if phi[jmax] < 0:
             phi = -phi
         label = (i,)
-        if op.boundary.kind == "dirichlet":
-            xg = np.concatenate(([0.0], x, [st.domain.lengths[0]]))
-            vg = np.concatenate(([0.0], phi, [0.0]))
-        else:
-            xg, vg = x, phi
-        modes.append(GridMode(label, xg, vg.astype(complex), periodic=periodic))
+        modes.append(GridMode(label, x, phi.astype(complex), periodic=periodic))
         labels.append(label)
     return ModeBasis(t=t, omegas=omegas, modes=tuple(modes),
                      labels=tuple(labels), spacetime=st)

@@ -265,5 +265,5 @@ def test_criterion_8_spectral_correctness():
                                / np.sort(exact.omegas[:5] ** 2)))
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert 3.5 < errs[1] / errs[2] < 4.5
-        assert orthonormality_residual(b2048) < 1e-8
+        assert orthonormality_residual(b2048) < 1e-12
         assert orthonormality_residual(exact) < 1e-12

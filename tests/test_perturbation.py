@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bogoflow.errors import (InvalidArgument, MissingPerturbedModes,
-                             NonDecayingProfile, WindowViolation)
+                             NonDecayingProfile, QuadratureFailure,
+                             WindowViolation)
 from bogoflow.perturbation import (DeltaCoupling, PerturbationSpec,
                                    PerturbedEigenpairs, asymptotic_coefficients,
                                    delta_coupling_from_modes,
@@ -181,6 +182,31 @@ def test_detuning_follows_sinc_envelope():
         rate = abs(m.beta[i, i]) / (1e-5 * span)
         expect = amp * abs(np.sinc(delta * span / (2 * np.pi)))
         assert abs(rate - expect) <= 0.02 * expect
+
+
+def test_unconverged_quadrature_window_raises(monkeypatch):
+    """A tone 1e6 off resonance over a unit window is not resolved by any
+    rule up to order 16384, so the quadrature method must raise.  Gauss
+    rules of those orders take minutes to build (dense eigensolves), so a
+    midpoint rule with the same node count stands in for them."""
+    from bogoflow import perturbation
+
+    orders = []
+
+    def midpoint_rule(order, a, b):
+        orders.append(order)
+        h = (b - a) / order
+        return a + h * (np.arange(order) + 0.5), np.full(order, h)
+
+    monkeypatch.setattr(perturbation, "axis_rule", midpoint_rule)
+    _, _, basis = gw_static_basis(CFG)
+    i = basis.labels.index((1, 1, 1))
+    tones = {(i, i): ((2.0 * basis.omegas[i] + 1e6, 1.0),)}
+    dc = DeltaCoupling(basis=basis, epsilon=1e-12, tones_alpha={},
+                       tones_beta=tones)
+    with pytest.raises(QuadratureFailure):
+        window_coefficients(dc, basis, 0.0, 1.0, method="quadrature")
+    assert max(orders) == 16384
 
 
 def test_asymptotic_matches_numeric_window():

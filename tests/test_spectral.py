@@ -3,12 +3,13 @@ import pytest
 from dataclasses import replace
 from scipy.optimize import brentq
 
-from bogoflow import (BoundarySpec, Domain, align_basis, flrw_torus,
-                      instantaneous_basis, orthonormality_residual,
+from bogoflow import (BoundarySpec, Domain, SyncSpacetime, align_basis,
+                      flrw_torus, instantaneous_basis, orthonormality_residual,
                       regularize_zero_mode, static_spacetime)
 from bogoflow.errors import (DegeneracyMismatch, InvalidArgument,
                              NegativeEigenvalue, ZeroMode)
-from bogoflow.spectral import apply_operator
+from bogoflow import spectral
+from bogoflow.spectral import apply_operator, fd_operator_1d
 
 from conftest import make_operator
 
@@ -63,7 +64,72 @@ def test_orthonormality_residuals(long_torus, unit_box):
     assert orthonormality_residual(b_b) < 1e-12
     op = make_operator(long_torus, fd_points=2048)
     b_fd = instantaneous_basis(op, as_fd(long_torus), 0.0, 7)
-    assert orthonormality_residual(b_fd) < 1e-8
+    assert orthonormality_residual(b_fd) < 1e-12
+
+
+def _inhomogeneous_slice(kind):
+    """1D slice with h_xx = 1 + 0.3 sin^2(2 pi x) + 0.1 x (1 - x)."""
+    def h(t, pts):
+        x = np.asarray(pts, dtype=float)[:, 0]
+        return (1.0 + 0.3 * np.sin(2 * np.pi * x) ** 2
+                + 0.1 * x * (1.0 - x))[:, None, None]
+
+    def h_dot(t, pts):
+        return np.zeros((len(pts), 1, 1))
+
+    periodic = kind == "none"
+    gamma = (lambda x: 1.5) if kind == "robin" else None
+    return SyncSpacetime(Domain((1.0,), (periodic,)), h, h_dot, mass=1.0,
+                         boundary=BoundarySpec(kind, robin_gamma=gamma))
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "none"])
+def test_fd_gram_is_eigenproblem_inner_product(kind, monkeypatch):
+    st = _inhomogeneous_slice(kind)
+    op = make_operator(st, fd_points=512)
+    basis = instantaneous_basis(op, st, 0.0, 6)
+    x, _, mass = fd_operator_1d(op, st, 0.0)
+    # Dirichlet modes carry the zero end nodes that the eigenproblem drops
+    nodes = slice(1, -1) if kind == "dirichlet" else slice(None)
+    V = np.array([m.values[nodes] for m in basis.modes])
+
+    def no_spline(*args, **kwargs):
+        raise AssertionError("a Gram of grid modes built a spline")
+
+    monkeypatch.setattr(spectral, "CubicSpline", no_spline)
+    for conj in (True, False):
+        ref = (V * mass) @ (V.conj() if conj else V).T
+        got = basis.gram(conj=conj)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    weighted = basis.gram(weight=lambda pts: 1.0 + pts[:, 0])
+    ref = (V * mass * (1.0 + x)) @ V.conj().T
+    assert np.max(np.abs(weighted - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert orthonormality_residual(basis) < 1e-12
+    al = align_basis(basis, instantaneous_basis(op, st, 0.0, 6))
+    assert orthonormality_residual(al) < 1e-12
+
+
+def test_gram_rejects_mixed_grid_and_separable_modes(long_torus):
+    b_an = instantaneous_basis(make_operator(long_torus), long_torus, 0.0, 3)
+    b_fd = instantaneous_basis(make_operator(long_torus), as_fd(long_torus),
+                               0.0, 3)
+    with pytest.raises(InvalidArgument):
+        b_fd.context.gram(b_fd.modes, b_an.modes)
+    coarse = instantaneous_basis(make_operator(long_torus, fd_points=512),
+                                 as_fd(long_torus), 0.0, 3)
+    with pytest.raises(InvalidArgument):
+        b_fd.context.gram(b_fd.modes, coarse.modes)
+
+
+def test_callable_weight_gram_of_separable_modes(unit_torus):
+    """A callable weight sends separable modes to Gauss-Legendre quadrature;
+    a constant one must reproduce the exact scalar-weight Gram."""
+    basis = instantaneous_basis(make_operator(unit_torus), unit_torus, 0.0, 5)
+    for conj in (True, False):
+        exact = basis.gram(conj=conj, weight=0.3)
+        quad = basis.gram(conj=conj,
+                          weight=lambda pts: np.full(len(pts), 0.3))
+        assert np.max(np.abs(quad - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_eigen_equation_residual(unit_box):
@@ -210,7 +276,7 @@ def test_align_restores_sign_flip():
     al = align_basis(b0, replace(b1, modes=tuple(flipped)))
     ov = al.context.gram(b0.modes, al.modes, conj=True)
     assert np.all(np.real(np.diagonal(ov)) > 0)
-    assert orthonormality_residual(al) < 1e-7
+    assert orthonormality_residual(al) < 1e-12
 
 
 def test_align_label_mismatch_raises(long_torus):
