@@ -10,7 +10,7 @@ analytic oracles.
 """
 
 from . import errors
-from .geometry import (BoundarySpec, Domain, GeometryFactors, SyncSpacetime,
+from .geometry import (BoundarySpec, Domain, SyncSpacetime,
                        diagonal_spacetime, flrw_torus, q_factor, rbar_factor,
                        static_spacetime, volume_integral)
 from .spectral import (ModeBasis, OperatorSpec, align_basis,
@@ -27,7 +27,7 @@ from .perturbation import (DeltaCoupling, PerturbationSpec, ResonanceReport,
 
 __all__ = [
     "errors",
-    "BoundarySpec", "Domain", "GeometryFactors", "SyncSpacetime",
+    "BoundarySpec", "Domain", "SyncSpacetime",
     "diagonal_spacetime", "flrw_torus", "q_factor", "rbar_factor",
     "static_spacetime", "volume_integral",
     "ModeBasis", "OperatorSpec", "align_basis", "instantaneous_basis",

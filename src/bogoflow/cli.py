@@ -60,12 +60,16 @@ def parse_config(raw: dict) -> dict:
         raise InvalidArgument(
             "exactly one scenario block matching 'scenario' must be present")
     tolerances = raw.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise InvalidArgument("tolerances must be a JSON object")
     for name, val in tolerances.items():
         if not (isinstance(val, (int, float)) and val > 0):
             raise InvalidArgument(f"tolerance {name!r} must be positive")
     out = dict(raw)
     out.setdefault("seed", 0)
     out.setdefault("output", {"path": "bogoflow_result", "format": "csv"})
+    if not isinstance(out["output"], dict):
+        raise InvalidArgument("output must be a JSON object")
     if out["output"].get("format", "csv") not in ("csv", "json"):
         raise InvalidArgument("output format must be csv or json")
     return out
@@ -93,6 +97,24 @@ def _gw_config(cfg: dict, tol=None, n_modes=None) -> GwCavityConfig:
         if key in block and block[key] is not None:
             block[key] = tuple(block[key])
     return GwCavityConfig(**block)
+
+
+def _custom_times(block: dict):
+    """(t0, tf, tol, n_samples) of a ``custom`` block, with their defaults."""
+    vals = []
+    for key, default in (("t0", 0.0), ("tf", 10.0), ("tol", 1e-10),
+                         ("n_samples", 101)):
+        v = block.get(key, default)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or not np.isfinite(v):
+            raise InvalidArgument(f"custom {key!r} must be a finite number")
+        vals.append(v)
+    t0, tf, tol, n_samples = vals
+    if not tol > 0:
+        raise InvalidArgument("custom 'tol' must be positive")
+    if n_samples != int(n_samples) or n_samples < 2:
+        raise InvalidArgument("custom 'n_samples' must be an integer >= 2")
+    return float(t0), float(tf), float(tol), int(n_samples)
 
 
 def _custom_driver(block: dict, n_modes: int):
@@ -227,12 +249,10 @@ def _run_gw(cfg, tol, n_modes, rng):
 def _run_custom(cfg, tol, n_modes, rng):
     block = cfg["custom"]
     n = n_modes or int(block.get("n_modes", 3))
-    t0 = float(block.get("t0", 0.0))
-    tf = float(block.get("tf", 10.0))
-    ode_tol = tol or float(block.get("tol", 1e-10))
+    t0, tf, block_tol, n_samples = _custom_times(block)
     st, driver = _custom_driver(block, n)
-    ts = np.linspace(t0, tf, int(block.get("n_samples", 101)))[1:]
-    pairs = evolve_Q(driver, t0, tf, tol=ode_tol, t_eval=ts)
+    ts = np.linspace(t0, tf, n_samples)[1:]
+    pairs = evolve_Q(driver, t0, tf, tol=tol or block_tol, t_eval=ts)
     columns = [("t", ts)]
     labels = driver.labels
     for i, lab in enumerate(labels):
@@ -374,8 +394,9 @@ def validate(config_path) -> int:
                    f"wave frequency {scen.wave_frequency():.6g}")
         else:
             n = int(cfg["custom"].get("n_modes", 3))
+            t0 = _custom_times(cfg["custom"])[0]
             st, driver = _custom_driver(cfg["custom"], n)
-            wmin = float(np.min(driver.omegas(float(cfg["custom"].get("t0", 0.0)))))
+            wmin = float(np.min(driver.omegas(t0)))
             _check(lines, wmin > 0,
                    f"operator positive definite at t0 (min omega = {wmin:.6g})"
                    if wmin > 0 else

@@ -251,8 +251,7 @@ class DiagonalFamilyDriver:
 
 
 def quadrature_driver(st: SyncSpacetime, family: Callable,
-                      dt: Optional[float] = None,
-                      sym_rtol: float = 1e-8) -> Callable:
+                      dt: Optional[float] = None) -> Callable:
     """Driver evaluating coupling matrices by quadrature at every call.
 
     Each call evaluates ``family`` (whose bases must live on ``st``) once at
@@ -264,7 +263,7 @@ def quadrature_driver(st: SyncSpacetime, family: Callable,
         if basis.spacetime is not st:
             raise InvalidArgument("family bases live on another spacetime")
         derivs = basis_derivatives(family, basis, dt)
-        cm = coupling_matrices(basis, derivs, sym_rtol=sym_rtol)
+        cm = coupling_matrices(basis, derivs)
         return basis.omegas, cm
 
     return drive

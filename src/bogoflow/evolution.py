@@ -118,8 +118,7 @@ def _monitor(tol, get_blocks):
 
 
 def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
-             t_eval: Optional[Sequence[float]] = None,
-             monitor_identity: bool = True):
+             t_eval: Optional[Sequence[float]] = None):
     """Integrate dU/dt = [i Omega + K] U with U(t0, t0) = I.
 
     Returns the final :class:`BogoliubovMatrix` (with the identity residual
@@ -144,7 +143,7 @@ def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
 
     y0 = np.concatenate([np.eye(n, dtype=complex).ravel(),
                          np.zeros(n * n, dtype=complex)])
-    hook = _monitor(tol, blocks) if monitor_identity else None
+    hook = _monitor(tol, blocks)
     res = solve_dopri(rhs, t0, tf, y0, rtol=tol, atol=tol,
                       t_eval=t_eval, step_hook=hook)
 
@@ -161,8 +160,7 @@ def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
 
 
 def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
-             t_eval: Optional[Sequence[float]] = None,
-             monitor_identity: bool = True):
+             t_eval: Optional[Sequence[float]] = None):
     """Integrate the phase-stripped form dQ/dt = Theta* (K - A) Theta Q.
 
     The diagonal log-phase p_n = int [i w_n + ahat_nn] dt is carried as
@@ -195,7 +193,7 @@ def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     y0 = np.concatenate([np.eye(n, dtype=complex).ravel(),
                          np.zeros(nn, dtype=complex),
                          np.zeros(n, dtype=complex)])
-    hook = _monitor(tol, blocks) if monitor_identity else None
+    hook = _monitor(tol, blocks)
     res = solve_dopri(rhs, t0, tf, y0, rtol=tol, atol=tol,
                       t_eval=t_eval, step_hook=hook)
 

@@ -21,6 +21,9 @@ from .quadrature import adaptive_tensor_integral
 
 #: Relative step for central time differences of metric-derived scalars.
 FD_REL_STEP = 1e-5
+#: Allowed mismatch, relative to the metric's scale, between ``dh_dt`` and
+#: central differences of ``h`` at the construction self-check.
+DERIV_CHECK_TOL = 1e-6
 
 _BOUNDARY_KINDS = ("none", "dirichlet", "neumann", "robin")
 
@@ -112,7 +115,6 @@ class SyncSpacetime:
     diag_scales: Optional[Callable] = None
     diag_scales_dt: Optional[Callable] = None
     check_times: Sequence[float] = (0.0,)
-    deriv_check_tol: float = 1e-6
 
     def __post_init__(self):
         if self.mass < 0:
@@ -157,7 +159,7 @@ class SyncSpacetime:
                   - np.asarray(self.h(t - dt, pts), dtype=float)) / (2 * dt)
             given = np.asarray(self.dh_dt(t, pts), dtype=float)
             scale = max(float(np.max(np.abs(given))), float(np.max(np.abs(m))), 1.0)
-            if np.max(np.abs(fd - given)) > self.deriv_check_tol * scale:
+            if np.max(np.abs(fd - given)) > DERIV_CHECK_TOL * scale:
                 raise InvalidArgument(
                     "dh_dt is inconsistent with central differences of h")
 
@@ -213,18 +215,20 @@ def static_spacetime(domain: Domain, metric: Optional[np.ndarray] = None,
                               mass=mass, coupling=coupling, boundary=boundary)
 
 
+def _metric_rate(st: SyncSpacetime, t: float, pts) -> np.ndarray:
+    """h^{-1} d_t h at each point, shape (npts, dim, dim); in 1D dh/h."""
+    hm = np.asarray(st.h(t, pts), dtype=float)
+    hd = np.asarray(st.dh_dt(t, pts), dtype=float)
+    det = hm[:, 0, 0] if st.dim == 1 else np.linalg.det(hm)
+    if np.any(np.abs(det) < 1e-300):
+        raise SingularMetric(f"h(t={t}) is numerically singular")
+    return hd / hm if st.dim == 1 else np.linalg.solve(hm, hd)
+
+
 def q_factor(st: SyncSpacetime, t: float, x) -> float:
     """Metric change rate (1/2) tr(h^{-1} d_t h) at (t, x)."""
     pts, single = _as_points(x, st.dim)
-    hm = np.asarray(st.h(t, pts), dtype=float)
-    hd = np.asarray(st.dh_dt(t, pts), dtype=float)
-    try:
-        sol = np.linalg.solve(hm, hd)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"h(t={t}) is not invertible") from exc
-    if np.any(np.abs(np.linalg.det(hm)) < 1e-300):
-        raise SingularMetric(f"h(t={t}) is numerically singular")
-    q = 0.5 * np.trace(sol, axis1=-2, axis2=-1)
+    q = 0.5 * np.trace(_metric_rate(st, t, pts), axis1=-2, axis2=-1)
     return float(q[0]) if single else q
 
 
@@ -235,34 +239,16 @@ def rbar_factor(st: SyncSpacetime, t: float, x) -> float:
     difference for dq/dt.
     """
     pts, single = _as_points(x, st.dim)
-    hm = np.asarray(st.h(t, pts), dtype=float)
-    hd = np.asarray(st.dh_dt(t, pts), dtype=float)
-    try:
-        sol = np.linalg.solve(hm, hd)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"h(t={t}) is not invertible") from exc
-    q = 0.5 * np.trace(sol, axis1=-2, axis2=-1)
-    tr_sq = np.trace(sol @ sol, axis1=-2, axis2=-1)
+    rate = _metric_rate(st, t, pts)
+    q = 0.5 * np.trace(rate, axis1=-2, axis2=-1)
+    tr_sq = np.trace(rate @ rate, axis1=-2, axis2=-1)
     dt = time_step(t)
     dq = (q_factor(st, t + dt, pts) - q_factor(st, t - dt, pts)) / (2 * dt)
     rbar = 2.0 * dq + q ** 2 + 0.25 * tr_sq
     return float(rbar[0]) if single else rbar
 
 
-@dataclass(frozen=True)
-class GeometryFactors:
-    """Slice-wise views of q and rbar as functions of position."""
-
-    spacetime: SyncSpacetime
-
-    def q(self, t: float) -> Callable:
-        return lambda pts: q_factor(self.spacetime, t, pts)
-
-    def rbar(self, t: float) -> Callable:
-        return lambda pts: rbar_factor(self.spacetime, t, pts)
-
-
-def volume_integral(st: SyncSpacetime, t: float, f: Callable, rel_tol: float = 1e-10):
+def volume_integral(st: SyncSpacetime, t: float, f: Callable):
     """Quadrature of ``f`` against the slice volume element sqrt(det h) dx.
 
     ``f`` takes an (npts, dim) array of points and returns (npts,) values.
@@ -270,4 +256,4 @@ def volume_integral(st: SyncSpacetime, t: float, f: Callable, rel_tol: float = 1
     def integrand(pts):
         return np.asarray(f(pts)) * st.sqrt_det_h(t, pts)
 
-    return adaptive_tensor_integral(integrand, st.domain.bounds, rel_tol=rel_tol)
+    return adaptive_tensor_integral(integrand, st.domain.bounds)

@@ -105,6 +105,10 @@ class PerturbedEigenpairs:
 
 #: order of the leading ``amps`` axis
 KINDS = ("alpha", "beta")
+#: a tone is resonant when its detuning is within this fraction of 1 + |w_res|
+_FREQ_RTOL = 1e-9
+#: scan rates at or below this fraction of the largest amplitude are noise
+_RATE_FLOOR_REL = 1e-10
 
 
 @dataclass(eq=False)
@@ -428,8 +432,7 @@ def asymptotic_coefficients(dc: DeltaCoupling,
 # equivalence reduction and resonance scan
 
 
-def equivalence_reduce(dc: DeltaCoupling, static_basis: ModeBasis,
-                       freq_rtol: float = 1e-9) -> DeltaCoupling:
+def equivalence_reduce(dc: DeltaCoupling, static_basis: ModeBasis) -> DeltaCoupling:
     """Keep only resonant tone content; the result drives the same resonances.
 
     Any channel component at a frequency other than the channel's resonant
@@ -438,7 +441,7 @@ def equivalence_reduce(dc: DeltaCoupling, static_basis: ModeBasis,
     dropped entirely (their first-order effect is a pure phase).
     """
     _check_static_basis(dc, static_basis)
-    tol = freq_rtol * (1.0 + np.abs(dc.resonances))
+    tol = _FREQ_RTOL * (1.0 + np.abs(dc.resonances))
     keep = np.abs(dc.detunings) <= tol[:, None]
     keep[0] &= ~np.eye(dc.n_modes, dtype=bool)
     out = DeltaCoupling(basis=dc.basis, epsilon=dc.epsilon, profile=dc.profile,
@@ -471,8 +474,7 @@ class ResonanceReport:
 
 
 def resonance_scan(dc: DeltaCoupling, static_basis: ModeBasis,
-                   detuning_window: float,
-                   rate_floor_rel: float = 1e-10) -> ResonanceReport:
+                   detuning_window: float) -> ResonanceReport:
     """All channels with tone content within ``detuning_window`` of resonance.
 
     Rates are epsilon times the matched Fourier amplitudes (growth per unit
@@ -481,7 +483,7 @@ def resonance_scan(dc: DeltaCoupling, static_basis: ModeBasis,
     """
     _check_static_basis(dc, static_basis)
     n = dc.n_modes
-    floor = rate_floor_rel * np.max(np.abs(dc.amps), initial=0.0)
+    floor = _RATE_FLOOR_REL * np.max(np.abs(dc.amps), initial=0.0)
     matched = np.abs(dc.detunings) < detuning_window
     rates = np.sum(np.where(matched, dc.amps, 0.0), axis=1)
     keep = np.abs(rates) > floor

@@ -42,8 +42,7 @@ def tensor_rule(order: int, bounds):
     return pts, np.asarray(w).ravel()
 
 
-def adaptive_tensor_integral(f, bounds, rel_tol=_REL_TOL, start_order=_START_ORDER,
-                             max_order=_MAX_ORDER):
+def adaptive_tensor_integral(f, bounds):
     """Integrate ``f(points) -> values`` over a box until order doubling converges.
 
     ``f`` must accept an (npts, dim) array and return (npts,) values.  The
@@ -51,9 +50,9 @@ def adaptive_tensor_integral(f, bounds, rel_tol=_REL_TOL, start_order=_START_ORD
     magnitude, with an absolute floor tied to the sampled scale of ``f``.
     """
     dim = len(bounds)
-    order = start_order
+    order = _START_ORDER
     prev = None
-    while order <= max_order:
+    while order <= _MAX_ORDER:
         if order ** dim > 20_000_000:
             raise QuadratureFailure(
                 f"node budget exceeded at order {order} in dimension {dim}")
@@ -64,9 +63,9 @@ def adaptive_tensor_integral(f, bounds, rel_tol=_REL_TOL, start_order=_START_ORD
             scale = float(np.max(np.abs(vals)))
             vol = float(np.prod([b - a for a, b in bounds]))
             floor = 1e-14 * max(scale * vol, 1e-300)
-            if abs(est - prev) <= rel_tol * abs(est) + floor:
+            if abs(est - prev) <= _REL_TOL * abs(est) + floor:
                 return est
         prev = est
         order *= 2
     raise QuadratureFailure(
-        f"no convergence up to Gauss-Legendre order {max_order}")
+        f"no convergence up to Gauss-Legendre order {_MAX_ORDER}")

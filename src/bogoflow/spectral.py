@@ -21,9 +21,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.interpolate import CubicSpline
 
 from .errors import (DegeneracyMismatch, InvalidArgument, NegativeEigenvalue,
                      ZeroMode)
@@ -31,6 +28,10 @@ from .geometry import BoundarySpec, SyncSpacetime
 from .quadrature import axis_rule
 
 _TINY_K = 1e-14
+#: omega^2 within this fraction of the largest |omega^2| counts as a zero mode.
+_ZERO_TOL = 1e-12
+#: Relative omega^2 spread within which modes count as one degenerate cluster.
+_DEGENERACY_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -155,30 +156,12 @@ def combine_separable(label, coef_modes) -> SeparableMode:
 
 @dataclass(frozen=True)
 class GridMode:
-    """1D eigenfunction sampled on a uniform FD grid.
-
-    Grams read the grid values directly; ``value`` interpolates them by
-    cubic spline for evaluation at arbitrary points.
-    """
+    """1D eigenfunction sampled on the nodes of a uniform FD grid."""
 
     label: tuple
     x: np.ndarray
     values: np.ndarray
     periodic: bool = False
-
-    def _spline(self):
-        if self.periodic:
-            xs = np.append(self.x, self.x[0] + (self.x[1] - self.x[0]) * len(self.x))
-            vs = np.append(self.values, self.values[0])
-            return CubicSpline(xs, vs, bc_type="periodic")
-        return CubicSpline(self.x, self.values)
-
-    def value(self, points):
-        pts = np.asarray(points, dtype=float)
-        xq = pts[:, 0] if pts.ndim == 2 else pts
-        return self._spline()(xq)
-
-    __call__ = value
 
     def scaled(self, c):
         return replace(self, values=self.values * c)
@@ -330,7 +313,6 @@ class OperatorSpec:
     boundary: BoundarySpec = field(default_factory=BoundarySpec)
     mass_shift_sq: float = 0.0
     fd_points: int = 1024
-    zero_tol: float = 1e-12
 
     def potential(self, st: SyncSpacetime, t: float, pts) -> np.ndarray:
         base = st.coupling * st.curvature_at(t, pts) + st.mass ** 2
@@ -412,9 +394,9 @@ def separable_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
     scale_w2 = max(max(abs(v) for v in w2s), 1.0)
     omegas, modes = [], []
     for label, w2, factors in zip(labels, w2s, factor_sets):
-        if w2 < -op.zero_tol * scale_w2:
+        if w2 < -_ZERO_TOL * scale_w2:
             raise NegativeEigenvalue(f"omega^2 = {w2:.3e} for mode {label}")
-        if abs(w2) <= op.zero_tol * scale_w2:
+        if abs(w2) <= _ZERO_TOL * scale_w2:
             raise ZeroMode(
                 f"mode {label} has omega^2 = {w2:.3e}; consider a mass shift")
         omega = np.sqrt(w2)
@@ -477,9 +459,12 @@ def _trapezoid_lump(n: int, dx: float, periodic: bool) -> np.ndarray:
 def fd_operator_1d(op: OperatorSpec, st: SyncSpacetime, t: float):
     """Assemble the self-adjoint FD eigenproblem on a uniform 1D grid.
 
-    Returns (x_nodes, K, mass) with K Phi = omega^2 diag(mass) Phi; K comes
-    from the flux form -d/dx(p dPhi/dx) with p = 1/sqrt(h_xx), plus w*V with
-    weight w = sqrt(h_xx), and mass = w * lump (:func:`_trapezoid_lump`).
+    Returns (x_nodes, main, off, mass) with K Phi = omega^2 diag(mass) Phi
+    for the symmetric tridiagonal K with diagonal ``main`` and
+    K[j, j+1] = off[j]; on a torus ``off`` has one more entry, off[-1],
+    which couples the last node to node 0.  K comes from the flux form
+    -d/dx(p dPhi/dx) with p = 1/sqrt(h_xx), plus w*V with weight
+    w = sqrt(h_xx), and mass = w * lump (:func:`_trapezoid_lump`).
     Dirichlet grids keep the interior nodes only.  Robin conditions add
     exactly gamma at boundary diagonal entries (p * sqrt(h) = 1).
     """
@@ -494,16 +479,9 @@ def fd_operator_1d(op: OperatorSpec, st: SyncSpacetime, t: float):
     lump = _trapezoid_lump(len(x), dx, periodic)
 
     if periodic:
-        w = st.sqrt_det_h(t, x[:, None])
-        V = op.potential(st, t, x[:, None])
-        main = (p + np.roll(p, 1)) / dx + w * V * lump
-        rows = np.arange(M)
-        cols = (rows + 1) % M
-        link = scipy.sparse.coo_matrix((-p / dx, (rows, cols)), shape=(M, M))
-        K = (scipy.sparse.diags(main) + link + link.T).tocsr()
-        return x, K, w * lump
-
-    if op.boundary.kind == "dirichlet":
+        main = (p + np.roll(p, 1)) / dx
+        off = -p / dx
+    elif op.boundary.kind == "dirichlet":
         x, lump = x[1:-1], lump[1:-1]
         main = (p[:-1] + p[1:]) / dx        # node j+1 sees p_j and p_{j+1}
         off = -p[1:-1] / dx
@@ -519,39 +497,43 @@ def fd_operator_1d(op: OperatorSpec, st: SyncSpacetime, t: float):
     if op.boundary.kind == "robin":
         main[0] += op.boundary.gamma_at(np.array([0.0]))
         main[-1] += op.boundary.gamma_at(np.array([L]))
-    K = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr")
-    return x, K, w * lump
+    return x, main, off, w * lump
 
 
 def _fd_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
               n_modes: int) -> ModeBasis:
-    x, K, mass = fd_operator_1d(op, st, t)
+    x, main, off, mass = fd_operator_1d(op, st, t)
     periodic = st.domain.periodic[0]
     rootm = np.sqrt(mass)
     n = len(x)
     if n_modes > n - 1:
         raise InvalidArgument("requested more modes than grid resolves")
 
+    # bands of the symmetric T = D K D, D = mass^(-1/2); each entry is
+    # K[j, j+1] * D[j] * D[j+1] in this order, since reassociating moves
+    # the eigenvectors, and every coupling built on them, by rounding
+    D = 1.0 / rootm
+    main = main * D * D
+    off = off * D[:len(off)] * np.roll(D, -1)[:len(off)]
     if periodic:
-        D = scipy.sparse.diags(1.0 / rootm)
-        T = (D @ K @ D).tocsc()
+        from scipy.sparse import coo_matrix, diags
+        from scipy.sparse.linalg import eigsh
+        rows = np.arange(n)
+        link = coo_matrix((off, (rows, (rows + 1) % n)), shape=(n, n))
+        T = (diags(main) + link + link.T).tocsc()
         vmin = float(np.min(op.potential(st, t, x[:, None])))
         sigma = min(0.0, vmin) - max(1e-8, 1e-3 * max(abs(vmin), 1.0))
-        vals, vecs = scipy.sparse.linalg.eigsh(T, k=n_modes, sigma=sigma,
-                                               which="LM")
+        vals, vecs = eigsh(T, k=n_modes, sigma=sigma, which="LM")
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     else:
-        D = 1.0 / rootm
-        main = K.diagonal() * D * D
-        sub = K.diagonal(-1) * D[:-1] * D[1:]
         vals, vecs = scipy.linalg.eigh_tridiagonal(
-            main, sub, select="i", select_range=(0, n_modes - 1))
+            main, off, select="i", select_range=(0, n_modes - 1))
 
     scale = max(abs(vals[-1]), 1.0)
-    if vals[0] < -op.zero_tol * scale:
+    if vals[0] < -_ZERO_TOL * scale:
         raise NegativeEigenvalue(f"omega^2 = {vals[0]:.3e}")
-    if abs(vals[0]) <= op.zero_tol * scale:
+    if abs(vals[0]) <= _ZERO_TOL * scale:
         raise ZeroMode(f"omega^2 = {vals[0]:.3e}; consider a mass shift")
 
     omegas = np.sqrt(vals)
@@ -593,13 +575,13 @@ def instantaneous_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
 # alignment across slices
 
 
-def _clusters(omegas, rel_tol=1e-8):
+def _clusters(omegas):
     """Indices grouped into degenerate clusters of omega^2."""
     order = np.argsort(omegas)
     scale = max(float(np.max(omegas ** 2)), 1e-300)
     groups, current = [], [order[0]]
     for prev, idx in zip(order[:-1], order[1:]):
-        if abs(omegas[idx] ** 2 - omegas[prev] ** 2) <= rel_tol * scale:
+        if abs(omegas[idx] ** 2 - omegas[prev] ** 2) <= _DEGENERACY_RTOL * scale:
             current.append(idx)
         else:
             groups.append(current)
@@ -616,8 +598,7 @@ def _combine(label, coef_modes):
     return replace(first, label=label, values=vals)
 
 
-def align_basis(prev: ModeBasis, next_basis: ModeBasis,
-                degeneracy_rtol: float = 1e-8) -> ModeBasis:
+def align_basis(prev: ModeBasis, next_basis: ModeBasis) -> ModeBasis:
     """Fix phases/rotations of ``next_basis`` against ``prev`` and match label order.
 
     Within each degenerate eigenspace the previous modes are projected onto
@@ -630,8 +611,8 @@ def align_basis(prev: ModeBasis, next_basis: ModeBasis,
 
     ctx = next_basis.context
     overlaps = ctx.gram(prev.modes, next_basis.modes, conj=True)
-    groups_prev = _clusters(prev.omegas, degeneracy_rtol)
-    groups_next = _clusters(next_basis.omegas, degeneracy_rtol)
+    groups_prev = _clusters(prev.omegas)
+    groups_next = _clusters(next_basis.omegas)
     next_group_by_label = {}
     for g in groups_next:
         labset = frozenset(next_basis.labels[i] for i in g)

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from bogoflow import cli
 from bogoflow.errors import StepFailure
@@ -58,6 +59,51 @@ def test_run_invalid_config_exits_1(tmp_path, capsys):
     path = write_config(tmp_path, bad)
     assert cli.run(path, output_dir=tmp_path) == 1
     assert "positive" in capsys.readouterr().err
+
+
+NON_OBJECT_BLOCKS = [{"output": "res"}, {"tolerances": [1]}]
+
+
+@pytest.mark.parametrize("extra", NON_OBJECT_BLOCKS)
+def test_run_non_object_block_exits_1(tmp_path, capsys, extra):
+    path = write_config(tmp_path, flrw_config(**extra))
+    assert cli.run(path, output_dir=tmp_path) == 1
+    assert "error: invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", NON_OBJECT_BLOCKS)
+def test_validate_non_object_block_fails(tmp_path, capsys, extra):
+    path = write_config(tmp_path, flrw_config(**extra))
+    assert cli.validate(path) == 0
+    assert "FAIL: config structure" in capsys.readouterr().out
+
+
+def custom_config(**fields):
+    block = {"lengths": [1.0], "periodic": [True], "mass": 1.0,
+             "amplitudes": [0.01], "n_modes": 3, "tf": 1.0}
+    block.update(fields)
+    return {"scenario": "custom", "custom": block,
+            "output": {"path": "cust", "format": "csv"}}
+
+
+BAD_TIMES = [("t0", "abc"), ("tf", "abc"), ("tol", "abc"),
+             ("n_samples", "abc"), ("tf", None), ("n_samples", 1)]
+
+
+@pytest.mark.parametrize("key, value", BAD_TIMES)
+def test_run_custom_bad_time_field_exits_1(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, custom_config(**{key: value}))
+    assert cli.run(path, output_dir=tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "error: invalid configuration" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("key, value", BAD_TIMES)
+def test_validate_custom_bad_time_field_fails(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, custom_config(**{key: value}))
+    assert cli.validate(path) == 0
+    assert f"FAIL: scenario block invalid: custom {key!r}" \
+        in capsys.readouterr().out
 
 
 def test_run_two_scenario_blocks_rejected(tmp_path):

@@ -102,17 +102,6 @@ def test_volume_integral_linear_and_positive(rng):
     assert pos > 0
 
 
-def test_geometry_factors_views():
-    from bogoflow import GeometryFactors
-    a = lambda t: 2.0 + 0.3 * np.sin(t)
-    st = flrw_torus(a, lambda t: 0.3 * np.cos(t), length=1.0, mass=0.1)
-    fac = GeometryFactors(st)
-    pts = np.array([[0.2], [0.8]])
-    t = 0.9
-    assert np.allclose(fac.q(t)(pts), q_factor(st, t, pts))
-    assert np.allclose(fac.rbar(t)(pts), rbar_factor(st, t, pts))
-
-
 def test_non_positive_metric_rejected():
     def h(t, pts):
         return np.full((len(pts), 1, 1), -1.0)

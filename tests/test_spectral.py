@@ -1,14 +1,18 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from dataclasses import replace
 from scipy.optimize import brentq
 
+import bogoflow
 from bogoflow import (BoundarySpec, Domain, SyncSpacetime, align_basis,
                       flrw_torus, instantaneous_basis, orthonormality_residual,
                       regularize_zero_mode, static_spacetime)
 from bogoflow.errors import (DegeneracyMismatch, InvalidArgument,
                              NegativeEigenvalue, ZeroMode)
-from bogoflow import spectral
 from bogoflow.spectral import apply_operator, fd_operator_1d
 
 from conftest import make_operator
@@ -84,19 +88,29 @@ def _inhomogeneous_slice(kind):
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "none"])
-def test_fd_gram_is_eigenproblem_inner_product(kind, monkeypatch):
+def test_fd_gram_is_eigenproblem_inner_product(kind):
     st = _inhomogeneous_slice(kind)
     op = make_operator(st, fd_points=512)
     basis = instantaneous_basis(op, st, 0.0, 6)
-    x, _, mass = fd_operator_1d(op, st, 0.0)
+    x, main, off, mass = fd_operator_1d(op, st, 0.0)
     # Dirichlet modes carry the zero end nodes that the eigenproblem drops
     nodes = slice(1, -1) if kind == "dirichlet" else slice(None)
     V = np.array([m.values[nodes] for m in basis.modes])
 
-    def no_spline(*args, **kwargs):
-        raise AssertionError("a Gram of grid modes built a spline")
+    # the bands are the eigenproblem: K phi = w^2 diag(mass) phi, with
+    # off[j] = K[j, j+1] and, on a torus, off[-1] = K[n-1, 0]
+    n = len(x)
+    assert len(main) == len(mass) == n
+    assert len(off) == (n if kind == "none" else n - 1)
+    K = np.diag(main)
+    rows = np.arange(len(off))
+    K[rows, (rows + 1) % n] = K[(rows + 1) % n, rows] = off
+    for w, v in zip(basis.omegas, V):
+        # relative to the size of the summed terms: K phi is a small
+        # difference of O(1/dx) entries
+        res = np.abs(K @ v - w ** 2 * mass * v)
+        assert np.max(res) <= 1e-10 * np.max(np.abs(K) @ np.abs(v))
 
-    monkeypatch.setattr(spectral, "CubicSpline", no_spline)
     for conj in (True, False):
         ref = (V * mass) @ (V.conj() if conj else V).T
         got = basis.gram(conj=conj)
@@ -310,3 +324,17 @@ def test_requested_too_many_modes(long_torus):
         instantaneous_basis(op, as_fd(long_torus), 0.0, 64)
     with pytest.raises(InvalidArgument):
         instantaneous_basis(op, long_torus, 0.0, 0)
+
+
+def test_import_loads_no_sparse_or_interpolate():
+    """Only the periodic FD solve needs scipy.sparse and only the flrw
+    scenario needs scipy.interpolate, so a bare import loads neither."""
+    root = os.path.dirname(os.path.dirname(bogoflow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    code = ("import sys, bogoflow; print(' '.join(m for m in sys.modules "
+            "if m.startswith(('scipy.sparse', 'scipy.interpolate'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
