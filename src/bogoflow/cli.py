@@ -128,13 +128,11 @@ def _custom_driver(block: dict, n_modes: int):
     amp = np.asarray(block.get("amplitudes", [0.0] * domain.dim), dtype=float)
     freq = float(block.get("frequency", 1.0))
     kind = block.get("boundary", "none" if all(domain.periodic) else "dirichlet")
-    gamma = block.get("robin_gamma")
     if kind == "robin":
-        if not gamma:
-            raise InvalidArgument("robin boundary requires a nonzero gamma")
-        boundary = BoundarySpec("robin", robin_gamma=lambda x: float(gamma))
-    else:
-        boundary = BoundarySpec(kind)
+        raise InvalidArgument(
+            "custom runs use the closed-form diagonal driver, whose fixed "
+            "mode shapes exclude robin walls")
+    boundary = BoundarySpec(kind)
 
     def scales(t):
         return base * (1.0 + amp * np.sin(freq * t))
@@ -280,7 +278,7 @@ def run(config_path, output_dir=None, tol=None, n_modes=None) -> int:
                   "custom": _run_custom}[cfg["scenario"]]
         columns, record, oracle_miss = runner(cfg, tol, n_modes, rng)
     except (InvalidArgument, OSError, json.JSONDecodeError, KeyError,
-            TypeError) as exc:
+            TypeError, ValueError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
     except (StepFailure, IdentityDrift) as exc:

@@ -8,23 +8,27 @@ factors q and rbar and the frequency drifts:
     bhat_nm = (w_m - w_n) <dPhi_n/dt, Phi_m>  - <Phi_n [w_n q + i xi rbar] Phi_m>
               - dw_n/dt <Phi_n, Phi_m>
 
-They must satisfy ahat = -ahat^dag and bhat = bhat^T; violations signal an
-inconsistent derivative stencil or misaligned bases and are raised rather
+The t-derivatives come from the slice eigenproblem itself
+(:func:`basis_derivatives` without ``dt``): closed-form frequency drifts
+for separable modes, and first-order eigenpair derivatives of the
+finite-difference problem K phi = w^2 M phi for grid modes.  A central
+difference of aligned eigenbases at t +/- dt is kept as the cross-check.
+
+The matrices must satisfy ahat = -ahat^dag and bhat = bhat^T; violations
+signal inconsistent derivatives or misaligned bases and are raised rather
 than repaired.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidArgument, SymmetryViolation
 from .geometry import SyncSpacetime, q_factor, rbar_factor
-from .spectral import (ModeBasis, OperatorSpec, _combine, align_basis,
-                       instantaneous_basis, separable_basis)
-
-#: dt = DT_FRACTION * (2 pi / omega_min) for derivative stencils.
-DT_FRACTION = 1e-4
+from .spectral import (GridMode, ModeBasis, OperatorSpec, _clusters,
+                       _combine, _fd_bands, align_basis, instantaneous_basis,
+                       separable_basis)
 
 
 @dataclass(eq=False)
@@ -41,16 +45,13 @@ class CouplingMatrices:
 
 @dataclass(eq=False)
 class BasisDerivatives:
-    """Central-difference (or analytic) t-derivatives of an aligned basis."""
+    """Closed-form (``dt == 0``) or central-difference t-derivatives of an
+    aligned basis."""
 
     labels: tuple
     dmodes_dt: tuple
     domega_dt: np.ndarray
     dt: float
-
-
-def default_stencil_dt(basis: ModeBasis) -> float:
-    return DT_FRACTION * 2.0 * np.pi / float(np.min(basis.omegas))
 
 
 def _diagonal_drift(st: SyncSpacetime, t: float, kvecs: np.ndarray,
@@ -63,23 +64,63 @@ def _diagonal_drift(st: SyncSpacetime, t: float, kvecs: np.ndarray,
     return dw, 0.5 * float(np.sum(ds / s))
 
 
+def _fd_derivatives(op: OperatorSpec, basis: ModeBasis) -> BasisDerivatives:
+    """First-order eigenpair derivatives of the FD problem K phi = lam M phi
+    (Nelson, AIAA J. 14 (1976) 1201), from one solve.
+
+    Over the retained modes phi = sqrt(2w) Phi, so phi^H M phi = 1, with
+    G = phi^H (K' - lam_n M') phi and B = phi^H M' phi: dlam_n = G_nn, and
+    c_mn = phi_m^H M phi_n' is G_mn / (lam_n - lam_m) across degenerate
+    clusters and -B_nn/2 on the diagonal.  Inside a cluster it takes the
+    gauge of :func:`align_basis`: -B_km for k before m in cluster order, 0
+    after.  ``dmodes_dt`` are the projections of dPhi/dt on the retained
+    modes, which is all :func:`coupling_matrices` reads.
+    """
+    w = basis.omegas
+    _, main, off, mass = _fd_bands(op, basis.spacetime, basis.t, rate=True)
+    vals = np.array([m.values for m in basis.modes]).T    # (nodes, modes)
+    # Dirichlet modes carry end nodes that the operator grid leaves out
+    inner = slice(1, -1) if op.boundary.kind == "dirichlet" else slice(None)
+    phi = vals[inner] * np.sqrt(2.0 * w)
+    lam = w ** 2
+    # K' phi with off[j] coupling node j to j+1; an interval has no wrap
+    link = np.zeros(len(main))
+    link[:len(off)] = off
+    k_phi = (main[:, None] * phi + link[:, None] * np.roll(phi, -1, axis=0)
+             + np.roll(link[:, None] * phi, 1, axis=0))
+    B = phi.conj().T @ (mass[:, None] * phi)
+    G = phi.conj().T @ k_phi - B * lam
+
+    gap = lam - lam[:, None]                # lam_n - lam_m at [m, n]
+    c = G / np.where(gap == 0.0, 1.0, gap)
+    for g in _clusters(w):                  # the align_basis gauge inside
+        c[np.ix_(g, g)] = -np.triu(B[np.ix_(g, g)], 1)
+    np.fill_diagonal(c, -0.5 * np.diagonal(B))
+
+    dw = np.real(np.diagonal(G)) / (2.0 * w)
+    # Phi_n' = sum_m c_mn sqrt(w_m / w_n) Phi_m - dw_n / (2 w_n) Phi_n
+    dvals = vals @ (c * np.sqrt(w[:, None] / w) - np.diag(dw / (2.0 * w)))
+    dmodes = tuple(replace(m, values=dvals[:, i])
+                   for i, m in enumerate(basis.modes))
+    return BasisDerivatives(labels=basis.labels, dmodes_dt=dmodes,
+                            domega_dt=dw, dt=0.0)
+
+
 def basis_derivatives(family: Callable, basis: ModeBasis,
                       dt: Optional[float] = None) -> BasisDerivatives:
-    """Central differences of mode functions and frequencies at ``basis.t``.
+    """t-derivatives of mode functions and frequencies at ``basis.t``.
 
-    ``basis`` is ``family(basis.t)``; the slices ``family(t +/- dt)`` are
-    aligned against it before differencing.  Families may expose
-    ``analytic_derivatives(basis)`` to bypass the stencil; an explicit
-    ``dt`` always forces the stencil.
+    Without ``dt`` they are the family's closed form,
+    ``family.analytic_derivatives(basis)``.  An explicit ``dt`` takes
+    central differences instead: ``basis`` is ``family(basis.t)``, and the
+    slices ``family(t +/- dt)`` are aligned against it before differencing.
     """
-    analytic = getattr(family, "analytic_derivatives", None)
-    if analytic is not None and dt is None:
-        out = analytic(basis)
-        if out is not None:
-            return out
-    t = basis.t
     if dt is None:
-        dt = default_stencil_dt(basis)
+        if not hasattr(family, "analytic_derivatives"):
+            raise InvalidArgument(
+                "family has no closed-form derivatives; pass a stencil dt")
+        return family.analytic_derivatives(basis)
+    t = basis.t
     plus = align_basis(basis, family(t + dt))
     minus = align_basis(basis, family(t - dt))
     scale = 1.0 / (2.0 * dt)
@@ -173,13 +214,13 @@ class InstantaneousFamily:
         fresh = instantaneous_basis(self.op, self.st, t, self.n_modes)
         return align_basis(self.reference, fresh)
 
-    def analytic_derivatives(self, basis: ModeBasis
-                             ) -> Optional[BasisDerivatives]:
-        """Closed-form derivatives of ``basis = self(basis.t)`` for diagonal
-        metrics: the mode shapes are fixed, only the normalization
-        (q + dw/w)/2 and the frequency drift."""
-        if self.st.diag_scales is None:
-            return None
+    def analytic_derivatives(self, basis: ModeBasis) -> BasisDerivatives:
+        """Closed-form derivatives of ``basis = self(basis.t)``, by the
+        solver that built it: eigenpair derivatives for FD grid modes; for
+        separable modes (diagonal metrics) the shapes are fixed, and only
+        the normalization (q + dw/w)/2 and the frequency drift move."""
+        if isinstance(basis.modes[0], GridMode):
+            return _fd_derivatives(self.op, basis)
         # aligned degenerate modes may be combinations; their per-axis k^2
         # match the reference products carrying the same labels
         kvecs = np.array([m.wavenumbers for m in self.reference.modes])
@@ -210,6 +251,10 @@ class DiagonalFamilyDriver:
             n_modes = basis.n_modes
         else:
             basis = instantaneous_basis(op, st, t_ref, n_modes)
+            if isinstance(basis.modes[0], GridMode):
+                raise InvalidArgument(
+                    f"{op.boundary.kind} walls move the mode shapes; use an "
+                    "InstantaneousFamily with the quadrature driver")
         self.labels = basis.labels
         self.kvecs = np.array([m.wavenumbers for m in basis.modes])
         periodic = st.domain.periodic

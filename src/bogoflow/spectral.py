@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .errors import (DegeneracyMismatch, InvalidArgument, NegativeEigenvalue,
                      ZeroMode)
-from .geometry import BoundarySpec, SyncSpacetime
+from .geometry import BoundarySpec, SyncSpacetime, q_factor, time_step
 from .quadrature import axis_rule
 
 _TINY_K = 1e-14
@@ -468,6 +468,16 @@ def fd_operator_1d(op: OperatorSpec, st: SyncSpacetime, t: float):
     Dirichlet grids keep the interior nodes only.  Robin conditions add
     exactly gamma at boundary diagonal entries (p * sqrt(h) = 1).
     """
+    return _fd_bands(op, st, t, rate=False)
+
+
+def _fd_bands(op: OperatorSpec, st: SyncSpacetime, t: float, rate: bool):
+    """:func:`fd_operator_1d`, or with ``rate`` the t-derivatives
+    (x_nodes, main', off', mass') of its bands.  K is linear in p and in
+    w*V, so K' is the same assembly with p' = -q p and (w V)' = q w V + w V',
+    where q = h_xx'/(2 h_xx) (:func:`geometry.q_factor`) and V' is a central
+    difference, taken only when V moves with the curvature.  The Robin
+    gamma is constant and drops out of K'."""
     L = st.domain.lengths[0]
     periodic = st.domain.periodic[0]
     M = op.fd_points
@@ -475,6 +485,8 @@ def fd_operator_1d(op: OperatorSpec, st: SyncSpacetime, t: float):
 
     mids = (np.arange(M) + 0.5) * dx        # all M cell midpoints on [0, L]
     p = 1.0 / st.sqrt_det_h(t, mids[:, None])
+    if rate:
+        p = -q_factor(st, t, mids[:, None]) * p
     x = np.arange(M if periodic else M + 1) * dx
     lump = _trapezoid_lump(len(x), dx, periodic)
 
@@ -492,9 +504,17 @@ def fd_operator_1d(op: OperatorSpec, st: SyncSpacetime, t: float):
         off = -p / dx
 
     w = st.sqrt_det_h(t, x[:, None])
-    V = op.potential(st, t, x[:, None])
-    main = main + w * V * lump
-    if op.boundary.kind == "robin":
+    wv = w * op.potential(st, t, x[:, None])
+    if rate:
+        q = q_factor(st, t, x[:, None])
+        wv = q * wv
+        if st.coupling != 0.0 and st.spatial_curvature is not None:
+            dt = time_step(t)
+            wv = wv + w * (op.potential(st, t + dt, x[:, None])
+                           - op.potential(st, t - dt, x[:, None])) / (2 * dt)
+        w = q * w
+    main = main + wv * lump
+    if op.boundary.kind == "robin" and not rate:
         main[0] += op.boundary.gamma_at(np.array([0.0]))
         main[-1] += op.boundary.gamma_at(np.array([L]))
     return x, main, off, w * lump

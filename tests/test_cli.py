@@ -106,6 +106,33 @@ def test_validate_custom_bad_time_field_fails(tmp_path, capsys, key, value):
         in capsys.readouterr().out
 
 
+NON_NUMERIC = [("n_modes", "abc"), ("mass", "abc"), ("frequency", "x")]
+
+
+@pytest.mark.parametrize("key, value", NON_NUMERIC)
+def test_run_custom_non_numeric_field_exits_1(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, custom_config(**{key: value}))
+    assert cli.run(path, output_dir=tmp_path) == 1
+    assert "error: invalid configuration" in capsys.readouterr().err
+
+
+ROBIN_CUSTOM = dict(periodic=[False], boundary="robin", robin_gamma=1.0)
+
+
+def test_run_custom_robin_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, custom_config(**ROBIN_CUSTOM))
+    assert cli.run(path, output_dir=tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "error: invalid configuration" in err and "robin" in err
+
+
+def test_validate_custom_robin_fails(tmp_path, capsys):
+    path = write_config(tmp_path, custom_config(**ROBIN_CUSTOM))
+    assert cli.validate(path) == 0
+    out = capsys.readouterr().out
+    assert "FAIL: scenario block invalid" in out and "robin" in out
+
+
 def test_run_two_scenario_blocks_rejected(tmp_path):
     cfg = flrw_config()
     cfg["gw_cavity"] = {"lengths": [1, 2, 1], "epsilon": 1e-5}

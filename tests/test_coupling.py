@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bogoflow import basis_derivatives, coupling_matrices, flrw_torus
+from bogoflow import (BoundarySpec, Domain, SyncSpacetime, basis_derivatives,
+                      coupling_matrices, diagonal_spacetime, flrw_torus)
 from bogoflow.coupling import DiagonalFamilyDriver, InstantaneousFamily
 from bogoflow.errors import InvalidArgument, SymmetryViolation
 from bogoflow.scenarios import GwCavityConfig, gw_exact_driver
@@ -19,6 +20,25 @@ def tanh_torus():
         return B * RHO * sech2 / (2.0 * a(t) ** 2) * a(t)
 
     return flrw_torus(a, adot, length=L, mass=M), a, adot
+
+
+def grid_metric(fn):
+    """Lift f(t, x) to the (npts, 1, 1) metric array of a 1D slice."""
+    return lambda t, pts: fn(t, np.asarray(pts, dtype=float)[:, 0])[:, None, None]
+
+
+def probe_spacetime(boundary="dirichlet", periodic=False, **kwargs):
+    """h_xx = 1 + 0.05 sin(k x) sin(6t), mass 1, on [0, 1]; k = pi on an
+    interval, 2 pi on the torus (degenerate +-k pairs)."""
+    k = 2.0 * np.pi if periodic else np.pi
+    return SyncSpacetime(
+        Domain((1.0,), (periodic,)),
+        grid_metric(lambda t, x: 1.0 + 0.05 * np.sin(k * x) * np.sin(6 * t)),
+        grid_metric(lambda t, x: 0.3 * np.sin(k * x) * np.cos(6 * t)),
+        mass=1.0, boundary=BoundarySpec(boundary), **kwargs)
+
+
+ROBIN = BoundarySpec("robin", robin_gamma=lambda x: 1.5)
 
 
 def test_static_family_derivatives_and_coupling_vanish(long_torus):
@@ -187,8 +207,7 @@ class CountingFamily:
     def __init__(self, family):
         self.family = family
         self.times = []
-        self.analytic_derivatives = getattr(family, "analytic_derivatives",
-                                            None)
+        self.analytic_derivatives = family.analytic_derivatives
 
     def __call__(self, t):
         self.times.append(t)
@@ -206,6 +225,23 @@ def test_driver_solves_each_slice_once():
     analytic = CountingFamily(fam)
     quadrature_driver(st, analytic)(t)
     assert analytic.times == [t]
+    fd_st = probe_spacetime()
+    fd = CountingFamily(InstantaneousFamily(make_operator(fd_st), fd_st, 4))
+    quadrature_driver(fd_st, fd)(t)
+    assert fd.times == [t]
+
+
+def test_family_without_closed_form_needs_dt():
+    st, a, adot = tanh_torus()
+    fam = InstantaneousFamily(make_operator(st), st, 3)
+
+    class Plain:
+        def __call__(self, t):
+            return fam(t)
+
+    with pytest.raises(InvalidArgument):
+        basis_derivatives(Plain(), fam(0.3))
+    assert basis_derivatives(Plain(), fam(0.3), 1e-4).dt == 1e-4
 
 
 def test_driver_rejects_family_on_another_spacetime():
@@ -217,6 +253,14 @@ def test_driver_rejects_family_on_another_spacetime():
         quadrature_driver(other, fam)(0.0)
 
 
+def test_diagonal_driver_rejects_robin_walls():
+    st = diagonal_spacetime(Domain((1.0,), (False,)),
+                            lambda t: np.array([1.0 + 0.1 * np.sin(t)]),
+                            mass=1.0, boundary=ROBIN)
+    with pytest.raises(InvalidArgument):
+        DiagonalFamilyDriver(make_operator(st), st, 3)
+
+
 def test_fd_mixing_evolution_matches_diagonal_driver():
     """The finite-difference mode-mixing path on a spatially uniform ramp
     h_xx = 1 + 0.2 (1 + tanh t)/2 against the closed-form driver of the same
@@ -224,7 +268,6 @@ def test_fd_mixing_evolution_matches_diagonal_driver():
     mixes no modes.  The bounds are perfbench's fd_mixing final check: FD
     eigenvalues at 1024 points are off by at most (k dx)^2/12 = 1.3e-5
     relative, and the ODE tolerance adds an absolute error of a few tol."""
-    from bogoflow import BoundarySpec, Domain, SyncSpacetime, diagonal_spacetime
     from bogoflow.coupling import quadrature_driver
     from bogoflow.evolution import evolve_Q
 
@@ -241,12 +284,82 @@ def test_fd_mixing_evolution_matches_diagonal_driver():
     op = make_operator(st_fd)
     fam = InstantaneousFamily(op, st_fd, 4, t_ref=-0.25)
     tol = 1e-8
-    q_fd, _ = evolve_Q(quadrature_driver(st_fd, fam, dt=3e-5), -0.25, 0.25,
-                       tol=tol)
     q_an, _ = evolve_Q(DiagonalFamilyDriver(op, st_an, 4, t_ref=-0.25),
                        -0.25, 0.25, tol=tol)
-    got = np.abs(np.diagonal(q_fd.beta))
     ref = np.abs(np.diagonal(q_an.beta))
-    assert np.all(np.abs(got - ref) <= 1e-4 * ref + 10 * tol)
-    off = np.abs(q_fd.beta - np.diag(np.diagonal(q_fd.beta)))
-    assert off.max() < 1e-4 * got.max()
+    for dt in (3e-5, None):             # the stencil and the closed form
+        q_fd, _ = evolve_Q(quadrature_driver(st_fd, fam, dt=dt), -0.25, 0.25,
+                           tol=tol)
+        got = np.abs(np.diagonal(q_fd.beta))
+        assert np.all(np.abs(got - ref) <= 1e-4 * ref + 10 * tol)
+        off = np.abs(q_fd.beta - np.diag(np.diagonal(q_fd.beta)))
+        assert off.max() < 1e-4 * got.max()
+
+
+# ---------------------------------------------------------------------------
+# closed-form derivatives of finite-difference families
+
+
+FD_CASES = {
+    # name: (spacetime factory, modes, times, stencil dt)
+    "dirichlet": (probe_spacetime, 4, (0.0, 0.1, 0.257, 0.3, 0.4), 3e-4),
+    "neumann": (lambda: probe_spacetime("neumann"), 4, (0.0, 0.3), 3e-4),
+    "robin_diagonal": (
+        lambda: diagonal_spacetime(
+            Domain((1.0,), (False,)),
+            lambda t: np.array([1.0 + 0.1 * np.sin(t)]),
+            lambda t: np.array([0.1 * np.cos(t)]), mass=1.0, boundary=ROBIN),
+        4, (0.0, 0.3), 3e-4),
+    "torus": (lambda: probe_spacetime("none", periodic=True), 5, (0.0, 0.3),
+              1e-5),
+    "curvature": (
+        lambda: probe_spacetime(
+            coupling=0.5, spatial_curvature=lambda t, pts:
+            2.0 + np.sin(3 * t) * np.cos(np.pi * pts[:, 0])),
+        4, (0.0, 0.3), 3e-4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FD_CASES))
+def test_fd_closed_form_matches_stencil(case):
+    """ahat and bhat from one eigensolve agree with the explicit-dt stencil
+    to 1e-4 of the largest entry, and their symmetry residual is rounding:
+    below 1e-10 of it, where the stencil's is 1e-9 to 1e-6."""
+    make_st, n, times, dt = FD_CASES[case]
+    st = make_st()
+    fam = InstantaneousFamily(make_operator(st), st, n)
+    for t in times:
+        b = fam(t)
+        exact = basis_derivatives(fam, b)
+        assert exact.dt == 0.0
+        cm = coupling_matrices(b, exact)
+        ref = coupling_matrices(b, basis_derivatives(fam, b, dt), sym_rtol=1.0)
+        scale = max(np.max(np.abs(ref.alpha_hat)), np.max(np.abs(ref.beta_hat)))
+        assert np.max(np.abs(cm.alpha_hat - ref.alpha_hat)) < 1e-4 * scale
+        assert np.max(np.abs(cm.beta_hat - ref.beta_hat)) < 1e-4 * scale
+        assert cm.meta["symmetry_residual"] < 1e-10 * scale
+
+
+def test_fd_operator_rate_is_derivative_of_bands():
+    from bogoflow.spectral import _fd_bands, fd_operator_1d
+    for st in (probe_spacetime(), probe_spacetime("none", periodic=True)):
+        op = make_operator(st)
+        t, dt = 0.3, 1e-5
+        plus = fd_operator_1d(op, st, t + dt)[1:]
+        minus = fd_operator_1d(op, st, t - dt)[1:]
+        rates = _fd_bands(op, st, t, rate=True)[1:]
+        for rate, p, m in zip(rates, plus, minus):
+            fd = (p - m) / (2 * dt)
+            assert np.max(np.abs(rate - fd)) < 1e-7 * np.max(np.abs(fd))
+
+
+def test_default_path_probe_evolution():
+    """The mode-mixing probe on the default path: one eigensolve per call,
+    a Bogoliubov identity kept to rounding, and visible mixing."""
+    from bogoflow.coupling import quadrature_driver
+    from bogoflow.evolution import evolve_Q, identity_residual
+    st = probe_spacetime()
+    fam = InstantaneousFamily(make_operator(st), st, 4)
+    q, _ = evolve_Q(quadrature_driver(st, fam), 0.0, 0.5, tol=1e-8)
+    assert identity_residual(q) <= 1e-6
+    assert np.max(np.abs(q.beta - np.diag(np.diagonal(q.beta)))) > 1e-6

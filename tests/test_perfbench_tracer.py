@@ -2,7 +2,9 @@
 
 The tracer wraps bogoflow's public functions by name from outside the
 program, so an API change can break ``perfbench/run.py --trace 1`` without
-failing any library test.  One traced stencil driver call catches that.
+failing any library test.  One traced stencil driver call catches that, and
+one traced default-path call on a finite-difference family counts its
+single eigensolve.
 """
 
 import importlib
@@ -52,3 +54,33 @@ def test_tracer_counts_one_stencil_driver_call():
     assert m["spectral.basis_solves"] == 3
     assert m["spectral.align_calls"] == 5
     assert (coupling.coupling_matrices, spectral.SliceContext.gram) == originals
+
+
+def test_tracer_counts_one_default_path_fd_driver_call():
+    for name in LAYER_MODULES:
+        importlib.import_module(name)
+    from bogoflow import coupling, geometry, spectral
+    tracing = load_tracer()
+
+    def metric(fn):
+        return lambda t, pts: fn(t, np.asarray(pts)[:, 0])[:, None, None]
+
+    st = geometry.SyncSpacetime(
+        geometry.Domain((1.0,), (False,)),
+        metric(lambda t, x: 1.0 + 0.05 * np.sin(np.pi * x) * np.sin(6 * t)),
+        metric(lambda t, x: 0.3 * np.sin(np.pi * x) * np.cos(6 * t)),
+        mass=1.0, boundary=geometry.BoundarySpec("dirichlet"))
+    fam = coupling.InstantaneousFamily(
+        spectral.OperatorSpec(boundary=st.boundary), st, 4)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        coupling.quadrature_driver(st, fam)(0.3)
+    finally:
+        tracer.uninstall()
+    m = tracing.op_metrics(tracer.take())
+
+    assert m["coupling.driver_calls"] == 1
+    assert m["spectral.basis_solves"] == 1
+    assert m["spectral.align_calls"] == 1
