@@ -117,6 +117,12 @@ def _custom_times(block: dict):
     return float(t0), float(tf), float(tol), int(n_samples)
 
 
+#: every key a ``custom`` block may hold: the metric and field, then the run
+_CUSTOM_KEYS = ("lengths", "periodic", "base_scales", "amplitudes", "frequency",
+                "boundary", "mass", "coupling",
+                "n_modes", "t0", "tf", "tol", "n_samples")
+
+
 def _custom_driver(block: dict, n_modes: int):
     from .coupling import DiagonalFamilyDriver
     from .geometry import BoundarySpec, Domain, diagonal_spacetime
@@ -132,6 +138,9 @@ def _custom_driver(block: dict, n_modes: int):
         raise InvalidArgument(
             "custom runs use the closed-form diagonal driver, whose fixed "
             "mode shapes exclude robin walls")
+    for key in block:
+        if key not in _CUSTOM_KEYS:
+            raise InvalidArgument(f"unknown custom key {key!r}")
     boundary = BoundarySpec(kind)
 
     def scales(t):

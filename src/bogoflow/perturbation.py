@@ -15,8 +15,9 @@ beta, and an optional Gaussian envelope duration ``tau``.  Window
 integrals, asymptotic coefficients, the equivalence reduction and the
 resonance scan are array operations over the detunings
 ``freqs - resonances``.  ``window_coefficients`` integrates each tone
-exactly (``method="tones"``, the default) or the whole coupling by
-adaptive Gauss-Legendre quadrature in time (``method="quadrature"``).
+exactly (``method="tones"``, the default) or the whole coupling on
+composite Gauss-Legendre panels in time, doubling the panel count until
+two estimates agree (``method="quadrature"``).
 """
 
 import warnings
@@ -29,7 +30,7 @@ from scipy.special import dawsn, wofz
 from .errors import (InvalidArgument, MissingPerturbedModes,
                      NonDecayingProfile, QuadratureFailure, WindowViolation)
 from .evolution import BogoliubovMatrix
-from .quadrature import axis_rule
+from .quadrature import panel_rule
 from .spectral import ModeBasis, SeparableMode
 
 
@@ -109,6 +110,8 @@ KINDS = ("alpha", "beta")
 _FREQ_RTOL = 1e-9
 #: scan rates at or below this fraction of the largest amplitude are noise
 _RATE_FLOOR_REL = 1e-10
+#: node budget of a numeric window integral (512 panels of 32 points)
+_WINDOW_MAX_NODES = 16384
 
 
 @dataclass(eq=False)
@@ -364,26 +367,27 @@ def _channel_integrals(dc: DeltaCoupling, t0, tf, method):
     if method == "tones":
         return np.sum(dc.amps * _tone_window_integral(dc.detunings, t0, tf,
                                                       dc.tau), axis=1)
-    # adaptive Gauss-Legendre in time on all channels of one kind at once
+    # composite Gauss-Legendre panels in time on all channels of one kind
     return np.stack([_quadrature_integrals(dc, k, t0, tf) for k in (0, 1)])
 
 
 def _quadrature_integrals(dc: DeltaCoupling, k, t0, tf):
     res = dc.resonances[k]
-    order, prev = 32, None
-    while order <= 16384:
-        tq, wq = axis_rule(order, t0, tf)
+    panels, prev = 1, None
+    while True:
+        tq, wq = panel_rule(panels, t0, tf)
         vals = dc._at(k, tq)                            # (nq, n, n)
         phases = np.exp(-1j * np.einsum("ij,q->qij", res, tq))
         est = np.einsum("q,qij->ij", wq, vals * phases)
         if prev is not None and np.max(np.abs(est - prev)) <= \
                 1e-10 * max(np.max(np.abs(est)), 1e-300) + 1e-14:
             return est
+        if tq.size >= _WINDOW_MAX_NODES:
+            raise QuadratureFailure(
+                f"window integrals over ({t0}, {tf}) not converged with "
+                f"{tq.size} Gauss-Legendre nodes")
         prev = est
-        order *= 2
-    raise QuadratureFailure(
-        f"window integrals over ({t0}, {tf}) not converged up to "
-        f"Gauss-Legendre order {order // 2}")
+        panels *= 2
 
 
 def window_coefficients(dc: DeltaCoupling, static_basis: ModeBasis,
@@ -393,10 +397,12 @@ def window_coefficients(dc: DeltaCoupling, static_basis: ModeBasis,
 
     alpha_nn = 1; alpha_nm (n != m) and beta_nm are epsilon times the
     phase-weighted window integrals of the coupling channels: exact per
-    tone with ``method="tones"``, adaptive Gauss-Legendre in time with
-    ``method="quadrature"``.  Outside the validity window
-    1 << omega_p dt << 1/epsilon, with omega_p the largest |tone frequency|,
-    a WindowViolation warning is emitted and recorded in ``meta`` (not fatal).
+    tone with ``method="tones"``, on composite Gauss-Legendre panels in
+    time with ``method="quadrature"`` (the panel count doubles until two
+    estimates agree; QuadratureFailure past 16384 nodes).  Outside the
+    validity window 1 << omega_p dt << 1/epsilon, with omega_p the largest
+    |tone frequency|, a WindowViolation warning is emitted and recorded in
+    ``meta`` (not fatal).
     """
     if method not in ("tones", "quadrature"):
         raise InvalidArgument(

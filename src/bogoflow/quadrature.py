@@ -1,8 +1,14 @@
-"""Tensor-product Gauss-Legendre quadrature with adaptive order doubling.
+"""Gauss-Legendre quadrature: tensor-product rules with adaptive order
+doubling, and composite Gauss-Legendre panels on an interval.
 
 Eigenfunctions and metric factors handled by the package are smooth, so
 Gauss-Legendre converges geometrically; doubling the per-axis order until
-two successive estimates agree is both cheap and robust.
+two successive estimates agree is both cheap and robust.  Long oscillatory
+integrands (window integrals in time, Grams of high modes) use composite
+panels instead: one fixed ``_PANEL_ORDER``-point rule on each of a number of
+equal sub-intervals, refined by doubling the panel count.  Only the one
+small rule is ever built, where a global rule of order n costs a dense
+O(n^3) eigensolve.
 """
 
 from functools import lru_cache
@@ -14,6 +20,8 @@ from .errors import QuadratureFailure
 _START_ORDER = 8
 _MAX_ORDER = 512
 _REL_TOL = 1e-10
+#: points of the Gauss-Legendre rule on each panel of ``panel_rule``
+_PANEL_ORDER = 32
 
 
 @lru_cache(maxsize=64)
@@ -26,6 +34,16 @@ def axis_rule(order: int, a: float, b: float):
     x, w = _leggauss(order)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+def panel_rule(panels: int, a: float, b: float):
+    """Nodes and weights of the composite Gauss-Legendre rule on [a, b]:
+    the ``_PANEL_ORDER``-point rule on each of ``panels`` equal sub-intervals."""
+    x, w = _leggauss(_PANEL_ORDER)
+    half = 0.5 * (b - a) / panels
+    left = a + 2.0 * half * np.arange(panels)
+    nodes = left[:, None] + half * (x + 1.0)
+    return nodes.ravel(), np.tile(half * w, panels)
 
 
 def tensor_rule(order: int, bounds):

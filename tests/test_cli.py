@@ -133,6 +133,26 @@ def test_validate_custom_robin_fails(tmp_path, capsys):
     assert "FAIL: scenario block invalid" in out and "robin" in out
 
 
+UNKNOWN_CUSTOM = [("robin_gamma", 1.0), ("amplitude", [0.01])]
+
+
+@pytest.mark.parametrize("key, value", UNKNOWN_CUSTOM)
+def test_run_custom_unknown_key_exits_1(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, custom_config(**{key: value}))
+    assert cli.run(path, output_dir=tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "error: invalid configuration" in err and repr(key) in err
+    assert not (tmp_path / "cust.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", UNKNOWN_CUSTOM)
+def test_validate_custom_unknown_key_fails(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, custom_config(**{key: value}))
+    assert cli.validate(path) == 0
+    assert f"FAIL: scenario block invalid: unknown custom key {key!r}" \
+        in capsys.readouterr().out
+
+
 def test_run_two_scenario_blocks_rejected(tmp_path):
     cfg = flrw_config()
     cfg["gw_cavity"] = {"lengths": [1, 2, 1], "epsilon": 1e-5}

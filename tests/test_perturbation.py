@@ -12,6 +12,7 @@ from bogoflow.perturbation import (DeltaCoupling, PerturbationSpec,
                                    delta_coupling_operator_form,
                                    equivalence_reduce, resonance_scan,
                                    sin_profile, window_coefficients)
+from bogoflow.quadrature import panel_rule
 from bogoflow.scenarios import GwCavityConfig, gw_delta_coupling, gw_static_basis
 from bogoflow.scenarios.gw_cavity import gw_perturbation
 from bogoflow.spectral import SeparableMode
@@ -186,27 +187,26 @@ def test_detuning_follows_sinc_envelope():
 
 def test_unconverged_quadrature_window_raises(monkeypatch):
     """A tone 1e6 off resonance over a unit window is not resolved by any
-    rule up to order 16384, so the quadrature method must raise.  Gauss
-    rules of those orders take minutes to build (dense eigensolves), so a
-    midpoint rule with the same node count stands in for them."""
+    panel count up to the 16384-node budget, so the quadrature method must
+    raise once it has tried that many nodes."""
     from bogoflow import perturbation
 
-    orders = []
+    nodes = []
 
-    def midpoint_rule(order, a, b):
-        orders.append(order)
-        h = (b - a) / order
-        return a + h * (np.arange(order) + 0.5), np.full(order, h)
+    def counted_rule(panels, a, b):
+        x, w = panel_rule(panels, a, b)
+        nodes.append(x.size)
+        return x, w
 
-    monkeypatch.setattr(perturbation, "axis_rule", midpoint_rule)
+    monkeypatch.setattr(perturbation, "panel_rule", counted_rule)
     _, _, basis = gw_static_basis(CFG)
     i = basis.labels.index((1, 1, 1))
     tones = {(i, i): ((2.0 * basis.omegas[i] + 1e6, 1.0),)}
     dc = DeltaCoupling(basis=basis, epsilon=1e-12, tones_alpha={},
                        tones_beta=tones)
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(QuadratureFailure, match="16384 Gauss-Legendre nodes"):
         window_coefficients(dc, basis, 0.0, 1.0, method="quadrature")
-    assert max(orders) == 16384
+    assert max(nodes) == 16384
 
 
 def test_asymptotic_matches_numeric_window():
