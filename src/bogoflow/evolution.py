@@ -49,10 +49,9 @@ class BogoliubovMatrix:
 
 @dataclass(eq=False)
 class PhaseAccumulator:
-    """Diagonal phase Theta(t) stripped from U, with the final diag(ahat)."""
+    """Diagonal phase Theta(t) stripped from U."""
 
     log_phase: np.ndarray      # p_n = i * int w_n + int ahat_nn   (length N)
-    a_diag: np.ndarray
 
     @property
     def theta(self) -> np.ndarray:
@@ -106,6 +105,12 @@ def static_driver(omegas) -> Callable:
     return lambda t: (w, (z, z))
 
 
+def _run_stats(res):
+    """Step and right-hand-side counts of one ``solve_dopri`` run."""
+    return {"n_steps": res.n_steps, "n_rejected": res.n_rejected,
+            "n_rhs": res.n_rhs}
+
+
 def _monitor(tol, get_blocks):
     cap = 100.0 * tol
 
@@ -150,7 +155,7 @@ def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     def to_matrix(y):
         A, B = blocks(y)
         m = BogoliubovMatrix(A.copy(), B.copy())
-        m.meta.update(n_steps=res.n_steps, tol=tol,
+        m.meta.update(_run_stats(res), tol=tol,
                       identity_residual=identity_residual(m))
         return m
 
@@ -197,14 +202,13 @@ def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     res = solve_dopri(rhs, t0, tf, y0, rtol=tol, atol=tol,
                       t_eval=t_eval, step_hook=hook)
 
-    def to_pair(t, y):
+    def to_pair(y):
         Qa, Qb = blocks(y)
         q = BogoliubovMatrix(Qa.copy(), Qb.copy())
-        q.meta.update(n_steps=res.n_steps, tol=tol,
+        q.meta.update(_run_stats(res), tol=tol,
                       identity_residual=identity_residual(q))
-        _, ah, _ = _unpack(driver(t))
-        return q, PhaseAccumulator(y[2 * nn:].copy(), np.diagonal(ah).copy())
+        return q, PhaseAccumulator(y[2 * nn:].copy())
 
     if t_eval is None:
-        return to_pair(tf, res.y[-1])
-    return [to_pair(t, y) for t, y in zip(res.t, res.y)]
+        return to_pair(res.y[-1])
+    return [to_pair(y) for y in res.y]

@@ -2,9 +2,8 @@
 
 The time-ordered evolution operators computed by this package never commute
 with themselves at different times, so they are realized by explicit
-stepping rather than by exponentiating averaged matrices.  The same tableau
-and step controller are mirrored in the compiled scenario kernel so both
-backends produce interchangeable trajectories.
+stepping rather than by exponentiating averaged matrices.  The scenario pair
+kernels and the matrix evolutions all step with :func:`solve_dopri`.
 """
 
 from dataclasses import dataclass
@@ -61,6 +60,7 @@ class OdeResult:
     y: np.ndarray          # shape (len(t), n)
     n_steps: int
     n_rejected: int
+    n_rhs: int             # calls of the right-hand side f
 
 
 def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
@@ -91,6 +91,7 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
     k = np.empty((7, y.size), dtype=complex)
     k[0] = f(t, y)
     h = _initial_step(f, t0, y, k[0], direction, rtol, atol, span)
+    n_rhs = 2              # k[0] and the trial step of _initial_step
     n_steps = n_rejected = 0
     ti = 0
 
@@ -109,6 +110,7 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
             for i in range(1, 7):
                 yi = y + dt * (DP_A[i] @ ks[:i])
                 ks[i] = f(t + DP_C[i] * dt, yi)
+            n_rhs += 6
             y_new = y + dt * (DP_B @ ks)
             # stage 7 is evaluated at (t+dt, y_new): FSAL
             err = dt * (DP_E @ ks)
@@ -137,4 +139,4 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
                 raise StepFailure(f"step size underflow at t = {t!r}")
 
     return OdeResult(t=np.array(out_t), y=np.array(out_y),
-                     n_steps=n_steps, n_rejected=n_rejected)
+                     n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs)

@@ -1,6 +1,6 @@
-"""Pure-Python scenario kernels (fallback for the compiled extension).
+"""Scenario ODE kernels: one phase-stripped pair system per mode.
 
-Both scenario families reduce to one phase-stripped pair system per mode,
+Both scenario families reduce to
 
     dQa/dx = J(x) b(x) e^{-2i phi} conj(Qb)
     dQb/dx = J(x) b(x) e^{-2i phi} conj(Qa)
@@ -8,19 +8,22 @@ Both scenario families reduce to one phase-stripped pair system per mode,
 
 where x is the integration variable (conformal time for the cosmology
 family with Jacobian J = a, coordinate time with J = 1 for the cavity
-family), b is the pair coupling rate and w the mode frequency.  The
-compiled kernel implements exactly the same stepper on this system.  The
-scale factor and the wave profile are written once here; the scenario
+family), b is the pair coupling rate and w the mode frequency.  The pairs
+are integrated by :func:`bogoflow.integrators.solve_dopri`.  The scale
+factor and the wave profile are written once here; the scenario
 spacetimes evaluate them through the same functions.
 """
 
 import numpy as np
 
-from ..errors import IdentityDrift
-from ..integrators import solve_dopri
+from .errors import IdentityDrift
+from .integrators import solve_dopri
 
 FLRW_TANH = 1
 GW_MODE = 2
+
+#: the pair-kernel backend named in run records
+backend_name = "python"
 
 
 def _flrw_a2(A, B, rho, eta):

@@ -20,7 +20,7 @@ from ..coupling import DiagonalFamilyDriver
 from ..errors import AsymptoteNotReached, InvalidArgument, NonMonotonicGrid
 from ..evolution import evolve_Q
 from ..geometry import flrw_torus
-from ..kernels.reference import _flrw_a2
+from ..kernels import _flrw_a2
 from ..quadrature import _leggauss
 from ..spectral import OperatorSpec
 

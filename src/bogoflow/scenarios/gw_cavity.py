@@ -17,7 +17,7 @@ from .. import kernels
 from ..coupling import DiagonalFamilyDriver
 from ..errors import InvalidArgument
 from ..geometry import BoundarySpec, Domain, diagonal_spacetime, static_spacetime
-from ..kernels.reference import _gw_profile
+from ..kernels import _gw_profile
 from ..perturbation import (DeltaCoupling, PerturbationSpec, PerturbedEigenpairs,
                             ResonanceReport, asymptotic_coefficients,
                             delta_coupling_from_modes, resonance_scan,

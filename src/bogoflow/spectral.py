@@ -32,6 +32,8 @@ _TINY_K = 1e-14
 _ZERO_TOL = 1e-12
 #: Relative omega^2 spread within which modes count as one degenerate cluster.
 _DEGENERACY_RTOL = 1e-8
+#: |phi| within this fraction of a mode's maximum ties for the sign node.
+_SIGN_TIE_RTOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +576,12 @@ def _fd_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
     modes, labels = [], []
     for i in range(n_modes):
         phi = phis[:, i]
-        jmax = int(np.argmax(np.abs(phi)))
-        if phi[jmax] < 0:
+        # the first near-maximal node is positive: on a mirror-symmetric
+        # slice the maxima of opposite lobes agree to rounding, so the
+        # plain argmax would let rounding pick the sign
+        mag = np.abs(phi)
+        jsign = int(np.argmax(mag >= (1.0 - _SIGN_TIE_RTOL) * mag.max()))
+        if phi[jsign] < 0:
             phi = -phi
         label = (i,)
         modes.append(GridMode(label, x, phi.astype(complex), periodic=periodic))

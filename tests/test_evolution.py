@@ -163,6 +163,44 @@ def test_solver_against_scipy_reference():
     assert np.max(np.abs(mine.y[-1] - ref.y[:, -1])) < 1e-9
 
 
+def test_solver_counts_rhs_calls():
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return 40j * np.tanh(20.0 * (t - 0.5)) * y
+
+    for t_eval in (None, np.linspace(0.0, 1.0, 7)):
+        calls.clear()
+        res = solve_dopri(rhs, 0.0, 1.0, np.array([1.0 + 0j]), rtol=1e-9,
+                          atol=1e-9, t_eval=t_eval)
+        assert res.n_rhs == len(calls)
+        assert isinstance(res.n_rejected, int) and res.n_rejected >= 0
+
+
+def test_evolution_calls_driver_at_t0_and_in_rhs_only(rng):
+    """Each driver call is one at t0 plus one per RHS evaluation; the output
+    samples cost none, and meta carries the stepper's counts."""
+    w = np.array([1.0, 1.7, 2.4])
+    ahat, bhat = random_valid_coupling(rng, 3)
+    calls = []
+
+    def driver(t):
+        calls.append(t)
+        return w, (0.1 * ahat * np.cos(t), 0.1 * bhat * np.sin(t))
+
+    for evolve in (evolve_Q, evolve_U):
+        for t_eval in (None, np.linspace(0.0, 2.0, 9)):
+            calls.clear()
+            out = evolve(driver, 0.0, 2.0, tol=1e-10, t_eval=t_eval)
+            last = out if t_eval is None else out[-1]
+            meta = (last[0] if evolve is evolve_Q else last).meta
+            assert len(calls) == 1 + meta["n_rhs"]
+            assert meta["n_steps"] > 0
+            assert isinstance(meta["n_rejected"], int) \
+                and meta["n_rejected"] >= 0
+
+
 def test_backward_integration():
     def rhs(t, y):
         return -0.3 * y

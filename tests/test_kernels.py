@@ -4,20 +4,15 @@ from scipy.integrate import solve_ivp
 
 from bogoflow import kernels
 from bogoflow.errors import IdentityDrift
-from bogoflow.kernels import reference
 
 FLRW_PARAMS = [2.5, 1.5, 1.0, 2.0 * np.pi / 1000.0, 0.1]
 GW_PARAMS = [np.pi ** 2, np.pi ** 2 / 4, np.pi ** 2, 0.0, 1e-4,
              3.0 * np.pi, 0.0]
 
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in kernels.available_backends(),
-    reason="compiled kernel not built")
-
 
 def scipy_reference(family, params, x0, x1, rtol=1e-12, atol=1e-12):
     """Independent integrator for the pair system (different stepper, scipy)."""
-    rates = reference._RATES[family]
+    rates = kernels._RATES[family]
 
     def rhs(x, y):
         jac, w, b = rates(tuple(params), x)
@@ -38,56 +33,30 @@ def scipy_reference(family, params, x0, x1, rtol=1e-12, atol=1e-12):
     (kernels.FLRW_TANH, FLRW_PARAMS, -10.0, 10.0),
     (kernels.GW_MODE, GW_PARAMS, 0.0, 40.0),
 ])
-def test_backends_agree_and_match_scipy(family, params, x0, x1):
+def test_pair_kernel_matches_scipy(family, params, x0, x1):
     samples = np.linspace(x0, x1, 5)
-    results = {}
-    for name in kernels.available_backends():
-        impl = kernels.get_backend(name)
-        results[name] = impl.pair_evolution(family, params, x0, samples,
-                                            rtol=1e-11, atol=1e-11)
+    qa, qb, ph = kernels.pair_evolution(family, params, x0, samples,
+                                        rtol=1e-11, atol=1e-11)
     qa_ref, qb_ref, ph_ref = scipy_reference(family, params, x0, x1)
-    for name, (qa, qb, ph) in results.items():
-        assert abs(qa[-1] - qa_ref) < 2e-8, name
-        assert abs(qb[-1] - qb_ref) < 2e-8, name
-        assert abs(ph[-1] - ph_ref) < 2e-8, name
-    if len(results) == 2:
-        qa_c, qb_c, ph_c = results["compiled"]
-        qa_p, qb_p, ph_p = results["python"]
-        assert np.max(np.abs(qa_c - qa_p)) < 1e-9
-        assert np.max(np.abs(qb_c - qb_p)) < 1e-9
-        assert np.max(np.abs(ph_c - ph_p)) < 1e-9
+    assert abs(qa[-1] - qa_ref) < 2e-8
+    assert abs(qb[-1] - qb_ref) < 2e-8
+    assert abs(ph[-1] - ph_ref) < 2e-8
 
 
-@pytest.mark.parametrize("name", kernels.available_backends())
-def test_pair_identity_conserved(name):
-    impl = kernels.get_backend(name)
+def test_pair_identity_conserved():
     samples = np.linspace(-10.0, 10.0, 33)
-    qa, qb, _ = impl.pair_evolution(kernels.FLRW_TANH, FLRW_PARAMS, -10.0,
-                                    samples, rtol=1e-10, atol=1e-10,
-                                    ident_cap=1e-8)
+    qa, qb, _ = kernels.pair_evolution(kernels.FLRW_TANH, FLRW_PARAMS, -10.0,
+                                       samples, rtol=1e-10, atol=1e-10,
+                                       ident_cap=1e-8)
     drift = np.max(np.abs(np.abs(qa) ** 2 - np.abs(qb) ** 2 - 1.0))
     assert drift < 1e-10
 
 
-@pytest.mark.parametrize("name", kernels.available_backends())
-def test_identity_cap_triggers(name):
-    impl = kernels.get_backend(name)
+def test_identity_cap_triggers():
     samples = np.linspace(-10.0, 10.0, 9)
     with pytest.raises(IdentityDrift):
-        impl.pair_evolution(kernels.FLRW_TANH, FLRW_PARAMS, -10.0, samples,
-                            rtol=1e-6, atol=1e-6, ident_cap=1e-15)
-
-
-@needs_compiled
-def test_backend_selection_env(monkeypatch):
-    import importlib
-    monkeypatch.setenv("BOGOFLOW_FORCE_PY", "1")
-    import bogoflow.kernels as km
-    importlib.reload(km)
-    assert km.backend_name == "python"
-    monkeypatch.delenv("BOGOFLOW_FORCE_PY")
-    importlib.reload(km)
-    assert km.backend_name == "compiled"
+        kernels.pair_evolution(kernels.FLRW_TANH, FLRW_PARAMS, -10.0, samples,
+                               rtol=1e-6, atol=1e-6, ident_cap=1e-15)
 
 
 def test_sampling_grid_is_honored():

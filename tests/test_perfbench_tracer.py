@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-LAYER_MODULES = ("bogoflow", "bogoflow.kernels", "bogoflow.kernels.reference",
-                 "bogoflow.integrators", "bogoflow.evolution",
-                 "bogoflow.coupling", "bogoflow.spectral",
-                 "bogoflow.perturbation", "bogoflow.quadrature",
-                 "bogoflow.scenarios", "bogoflow.scenarios.flrw",
-                 "bogoflow.scenarios.gw_cavity", "bogoflow.cli")
+LAYER_MODULES = ("bogoflow", "bogoflow.kernels", "bogoflow.integrators",
+                 "bogoflow.evolution", "bogoflow.coupling",
+                 "bogoflow.spectral", "bogoflow.perturbation",
+                 "bogoflow.quadrature", "bogoflow.scenarios",
+                 "bogoflow.scenarios.flrw", "bogoflow.scenarios.gw_cavity",
+                 "bogoflow.cli")
 
 
 def load_tracer():

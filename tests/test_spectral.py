@@ -218,6 +218,30 @@ def test_robin_fd_against_transcendental_roots():
         assert abs(left - g * v[0]) <= 100 * dx ** 2 * scale
 
 
+def _uniform_dirichlet_fd_basis(scale):
+    st = static_spacetime(Domain((1.0,), (False,)), metric=[scale], mass=1.0,
+                          boundary=BoundarySpec("dirichlet"))
+    return instantaneous_basis(make_operator(st, fd_points=1024), as_fd(st),
+                               0.0, 6)
+
+
+def test_fd_mode_sign_is_not_decided_by_rounding():
+    """On a mirror-symmetric slice each odd mode has two opposite-sign
+    maxima that agree to rounding.  The sign comes from the first node
+    within 1e-6 of the maximum, so a 1e-14 change of the metric keeps it."""
+    basis = _uniform_dirichlet_fd_basis(1.0)
+    for i, mode in enumerate(basis.modes):
+        phi = mode.values.real
+        if i % 2:
+            assert abs(phi.max() + phi.min()) <= 1e-10 * phi.max()
+        mag = np.abs(phi)
+        assert phi[np.argmax(mag >= (1.0 - 1e-6) * mag.max())] > 0
+    nudged = _uniform_dirichlet_fd_basis(1.0 + 1e-14)
+    for a, b in zip(basis.modes, nudged.modes):
+        assert np.max(np.abs(a.values - b.values)) \
+            <= 1e-8 * np.max(np.abs(a.values))
+
+
 def test_dirichlet_boundary_exact_and_neumann_to_order():
     st_d = static_spacetime(Domain((1.0,), (False,)),
                             boundary=BoundarySpec("dirichlet"))
