@@ -92,9 +92,12 @@ def _gw_config(cfg: dict, tol=None, n_modes=None) -> GwCavityConfig:
     if tol is not None:
         block["tol"] = tol
     if n_modes is not None:
-        block["n_modes_per_axis"] = n_modes
+        block["n_modes_per_axis"] = [n_modes] * 3
     for key in ("lengths", "n_modes_per_axis", "window", "reference_mode"):
         if key in block and block[key] is not None:
+            if not isinstance(block[key], list):
+                raise InvalidArgument(
+                    f"gw_cavity {key!r} must be a list, got {block[key]!r}")
             block[key] = tuple(block[key])
     return GwCavityConfig(**block)
 
@@ -124,7 +127,9 @@ _CUSTOM_KEYS = ("lengths", "periodic", "base_scales", "amplitudes", "frequency",
 
 
 def _custom_driver(block: dict, n_modes: int):
-    from .coupling import DiagonalFamilyDriver
+    """(spacetime, driver); a torus mode count that splits a conjugate
+    pair is rounded up to the closed count, which ``driver.n_modes`` holds."""
+    from .coupling import DiagonalFamilyDriver, closed_mode_count
     from .geometry import BoundarySpec, Domain, diagonal_spacetime
     from .spectral import OperatorSpec
 
@@ -154,7 +159,8 @@ def _custom_driver(block: dict, n_modes: int):
                             coupling=float(block.get("coupling", 0.0)),
                             boundary=boundary)
     op = OperatorSpec(boundary=boundary)
-    return st, DiagonalFamilyDriver(op, st, n_modes=n_modes)
+    return st, DiagonalFamilyDriver(
+        op, st, n_modes=closed_mode_count(op, st, n_modes))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +191,8 @@ def _run_flrw(cfg, tol, n_modes, rng):
 
     # ODE-tolerance check: halving tol must leave the final values in place
     half = replace(scen, tol=scen.tol / 2)
-    conv_diff = float(np.max(np.abs(flrw_run(half, n_samples=2).beta2_final
-                                    - result.beta2_final)))
+    rerun = flrw_run(half, n_samples=2)
+    conv_diff = float(np.max(np.abs(rerun.beta2_final - result.beta2_final)))
 
     record = {
         "series_labels": [str(n) for n in labels],
@@ -205,6 +211,11 @@ def _run_flrw(cfg, tol, n_modes, rng):
             "max_rel_mismatch": float(rel_miss),
         },
         "backend": result.meta["backend"],
+        # solver counts summed over the pairs
+        "diagnostics": {name: {key: res.meta[key]
+                               for key in ("n_steps", "n_rejected", "n_rhs")}
+                        for name, res in (("run", result),
+                                          ("convergence_rerun", rerun))},
     }
     return columns, record, (float(rel_miss) if rel_miss is not None else None)
 
@@ -271,6 +282,7 @@ def _run_custom(cfg, tol, n_modes, rng):
     final_q, _ = pairs[-1]
     record = {
         "series_labels": [str(l) for l in labels],
+        "n_modes": {"requested": n, "used": driver.n_modes},
         "identity_residuals": {"final": identity_residual(final_q)},
         "convergence": None,
     }
@@ -403,6 +415,9 @@ def validate(config_path) -> int:
             n = int(cfg["custom"].get("n_modes", 3))
             t0 = _custom_times(cfg["custom"])[0]
             st, driver = _custom_driver(cfg["custom"], n)
+            if driver.n_modes != n:
+                _check(lines, True, f"n_modes {n} rounded up to "
+                       f"{driver.n_modes} to close under conjugation")
             wmin = float(np.min(driver.omegas(t0)))
             _check(lines, wmin > 0,
                    f"operator positive definite at t0 (min omega = {wmin:.6g})"

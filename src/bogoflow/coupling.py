@@ -232,6 +232,32 @@ class InstantaneousFamily:
                                 domega_dt=dw, dt=0.0)
 
 
+def _conjugate_partners(labels, periodic):
+    """Index of each label's conjugate partner (labels negated on periodic
+    axes), or None when a partner is missing from ``labels``."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    flipped = [tuple(-l if p else l for l, p in zip(lab, periodic))
+               for lab in labels]
+    if any(f not in index for f in flipped):
+        return None
+    return np.array([index[f] for f in flipped])
+
+
+def closed_mode_count(op: OperatorSpec, st: SyncSpacetime, n_modes: int,
+                      t_ref: float = 0.0) -> int:
+    """Smallest count >= ``n_modes`` whose lowest modes close under conjugation.
+
+    On a torus the lowest ``n_modes`` can split a degenerate shell and
+    leave a mode (n,) without its partner (-n,); this is the count of
+    modes that :class:`DiagonalFamilyDriver` accepts at or above it.
+    """
+    count = n_modes
+    while _conjugate_partners(instantaneous_basis(op, st, t_ref, count).labels,
+                              st.domain.periodic) is None:
+        count += 1
+    return count
+
+
 class DiagonalFamilyDriver:
     """Closed-form driver for spatially constant diagonal metrics.
 
@@ -257,17 +283,11 @@ class DiagonalFamilyDriver:
                     "InstantaneousFamily with the quadrature driver")
         self.labels = basis.labels
         self.kvecs = np.array([m.wavenumbers for m in basis.modes])
-        periodic = st.domain.periodic
-        partner_labels = [
-            tuple(-l if periodic[ax] else l for ax, l in enumerate(lab))
-            for lab in basis.labels]
-        try:
-            self.partner = np.array([basis.labels.index(pl)
-                                     for pl in partner_labels])
-        except ValueError as exc:
+        self.partner = _conjugate_partners(basis.labels, st.domain.periodic)
+        if self.partner is None:
             raise InvalidArgument(
-                "mode set does not close under conjugation; adjust n_modes"
-            ) from exc
+                "mode set does not close under conjugation; see "
+                "closed_mode_count")
         self.pot = float(op.potential(st, t_ref,
                                       st.domain.sample_points(1))[0])
         self.n_modes = n_modes

@@ -105,12 +105,6 @@ def static_driver(omegas) -> Callable:
     return lambda t: (w, (z, z))
 
 
-def _run_stats(res):
-    """Step and right-hand-side counts of one ``solve_dopri`` run."""
-    return {"n_steps": res.n_steps, "n_rejected": res.n_rejected,
-            "n_rhs": res.n_rhs}
-
-
 def _monitor(tol, get_blocks):
     cap = 100.0 * tol
 
@@ -155,7 +149,7 @@ def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     def to_matrix(y):
         A, B = blocks(y)
         m = BogoliubovMatrix(A.copy(), B.copy())
-        m.meta.update(_run_stats(res), tol=tol,
+        m.meta.update(res.stats(), tol=tol,
                       identity_residual=identity_residual(m))
         return m
 
@@ -205,7 +199,7 @@ def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     def to_pair(y):
         Qa, Qb = blocks(y)
         q = BogoliubovMatrix(Qa.copy(), Qb.copy())
-        q.meta.update(_run_stats(res), tol=tol,
+        q.meta.update(res.stats(), tol=tol,
                       identity_residual=identity_residual(q))
         return q, PhaseAccumulator(y[2 * nn:].copy())
 

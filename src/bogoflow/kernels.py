@@ -79,7 +79,8 @@ def pair_evolution(family: int, params, x0: float, x_samples,
                    ident_cap: float = 0.0):
     """Integrate one pair system from x0 through the requested sample points.
 
-    Returns (qa, qb, phase) arrays over ``x_samples``.  A positive
+    Returns (qa, qb, phase) arrays over ``x_samples`` and the solve's
+    ``n_steps``, ``n_rejected`` and ``n_rhs`` counts as a dict.  A positive
     ``ident_cap`` aborts with IdentityDrift when | |Qa|^2 - |Qb|^2 - 1 |
     exceeds it on an accepted step.
     """
@@ -109,4 +110,4 @@ def pair_evolution(family: int, params, x0: float, x_samples,
     qa = res.y[:, 0]
     qb = res.y[:, 1]
     phase = res.y[:, 2].real
-    return qa, qb, phase
+    return qa, qb, phase, res.stats()

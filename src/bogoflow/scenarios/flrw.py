@@ -150,13 +150,14 @@ class FlrwResult:
 
 
 def _run_single_k(cfg: FlrwConfig, k: float, eta_samples):
-    qa, qb, phase = kernels.pair_evolution(
+    """(alpha, beta, solver counts) of the pair with wavenumber k."""
+    qa, qb, phase, stats = kernels.pair_evolution(
         kernels.FLRW_TANH, [cfg.A, cfg.B, cfg.rho, k, cfg.m],
         float(eta_samples[0]), eta_samples,
         rtol=cfg.tol, atol=cfg.tol, ident_cap=100.0 * cfg.tol)
     # U = Theta Q: the pair shares one accumulated phase
     rot = np.exp(1j * phase)
-    return rot * qa, rot * qb
+    return rot * qa, rot * qb, stats
 
 
 def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
@@ -166,7 +167,9 @@ def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
     Initial data alpha = 1, beta = 0 is imposed at the left end of the
     grid; the span should satisfy |rho eta| >= 8 at both ends for that to
     approximate the asymptotic past (warned otherwise).  The massless field
-    is exactly trivial: the pair rate carries a factor m^2.
+    is exactly trivial: the pair rate carries a factor m^2.  ``meta`` holds
+    the solver's ``n_steps``, ``n_rejected`` and ``n_rhs`` summed over the
+    pairs.
     """
     if not cfg.saturated():
         warnings.warn("eta_span too short for asymptotic initial data "
@@ -185,6 +188,8 @@ def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
                         t=grid.eta_to_t(eta_samples), alpha=alpha, beta=beta,
                         oracle_beta2=oracle)
     result.meta["backend"] = kernels.backend_name
+    for key in results[0][2]:
+        result.meta[key] = sum(r[2][key] for r in results)
     result.meta["pair_identity_residual"] = result.pair_identity_residual()
 
     beta2 = result.beta2
@@ -212,7 +217,7 @@ def flrw_unconfined_limit(cfg: FlrwConfig, k: float,
     if k <= 0:
         raise InvalidArgument("wavenumber k must be positive")
     eta_samples = np.linspace(cfg.eta_span[0], cfg.eta_span[1], n_samples)
-    alpha, beta = _run_single_k(cfg, k, eta_samples)
+    alpha, beta, _ = _run_single_k(cfg, k, eta_samples)
     return {
         "k": k,
         "eta": eta_samples,

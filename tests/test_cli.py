@@ -218,6 +218,85 @@ def test_custom_scenario_runs(tmp_path):
     assert record["identity_residuals"]["final"] < 1e-7
 
 
+def test_custom_torus_mode_count_rounds_up_to_closed_shell(tmp_path):
+    """4 modes on a 1D torus are 0, +-1 and one of +-2: the run takes the
+    closed count 5 and records both counts."""
+    path = write_config(tmp_path, custom_config(n_modes=4))
+    assert cli.run(path, output_dir=tmp_path) == 0
+    record = json.loads((tmp_path / "cust.json").read_text())
+    assert record["n_modes"] == {"requested": 4, "used": 5}
+    assert len(record["series_labels"]) == 5
+    assert {"(-2,)", "(2,)"} <= set(record["series_labels"])
+    header = (tmp_path / "cust.csv").read_text().splitlines()[0]
+    assert header.count("alpha2_") == 5
+
+
+def test_validate_custom_torus_reports_rounding(tmp_path, capsys):
+    path = write_config(tmp_path, custom_config(n_modes=4))
+    assert cli.validate(path) == 0
+    out = capsys.readouterr().out
+    assert "PASS: n_modes 4 rounded up to 5" in out
+    assert "FAIL" not in out
+
+
+def test_flrw_record_diagnostics_count_steps_not_samples(tmp_path):
+    """The fig2 record's step counts: far fewer than one step per output
+    sample, and the same as a run that samples only the two ends."""
+    from bogoflow.scenarios import flrw_run
+
+    path = write_config(tmp_path, flrw_config(
+        flrw=dict(FLRW_BLOCK, n_max=5),
+        output={"path": "fig2", "format": "csv"}))
+    assert cli.run(path, output_dir=tmp_path) == 0
+    record = json.loads((tmp_path / "fig2.json").read_text())
+    diag = record["diagnostics"]
+    n_pairs = len(record["series_labels"])
+    run = diag["run"]
+    assert run["n_steps"] < 600 * n_pairs / 4
+    assert run["n_rhs"] == 2 * n_pairs + 6 * (run["n_steps"]
+                                              + run["n_rejected"])
+    two = flrw_run(cli._flrw_config(json.loads(path.read_text())),
+                   n_samples=2).meta
+    assert {k: two[k] for k in run} == run
+    rerun = diag["convergence_rerun"]
+    assert rerun["n_steps"] > run["n_steps"]       # at half the tolerance
+
+
+GW_BLOCK = {"lengths": [1.0, 2.0, 1.0], "epsilon": 1e-5}
+
+
+def test_run_gw_scalar_modes_per_axis_names_key(tmp_path, capsys):
+    cfg = {"scenario": "gw_cavity",
+           "gw_cavity": dict(GW_BLOCK, n_modes_per_axis=3),
+           "output": {"path": "gw", "format": "csv"}}
+    path = write_config(tmp_path, cfg)
+    assert cli.run(path, output_dir=tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "'n_modes_per_axis' must be a list" in err
+    assert "not iterable" not in err
+
+
+def test_validate_gw_scalar_modes_per_axis_names_key(tmp_path, capsys):
+    cfg = {"scenario": "gw_cavity",
+           "gw_cavity": dict(GW_BLOCK, n_modes_per_axis=3),
+           "output": {"path": "gw", "format": "csv"}}
+    path = write_config(tmp_path, cfg)
+    assert cli.validate(path) == 0
+    out = capsys.readouterr().out
+    assert "FAIL: scenario block invalid: gw_cavity 'n_modes_per_axis' " \
+        "must be a list" in out
+
+
+def test_run_gw_mode_count_override(tmp_path):
+    cfg = {"scenario": "gw_cavity",
+           "gw_cavity": dict(GW_BLOCK, n_modes_per_axis=[3, 3, 3]),
+           "output": {"path": "gw", "format": "json"}}
+    path = write_config(tmp_path, cfg)
+    assert cli.run(path, output_dir=tmp_path, n_modes=1) == 0
+    record = json.loads((tmp_path / "gw.json").read_text())
+    assert record["n_resonant_channels"] == 1
+
+
 def test_run_overrides(tmp_path):
     path = write_config(tmp_path, flrw_config())
     assert cli.run(path, output_dir=tmp_path, tol=1e-8, n_modes=3) == 0

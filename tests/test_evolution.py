@@ -208,3 +208,80 @@ def test_backward_integration():
     res = solve_dopri(rhs, 1.0, 0.0, np.array([2.0 + 0j]),
                       rtol=1e-11, atol=1e-12)
     assert abs(res.y[-1][0] - 2.0 * np.exp(0.3)) < 1e-9
+
+
+def chirp(t, y):
+    """y' = i 40 tanh(20 (t - 1/2)) y: the steps shrink where the frequency
+    turns, and the controller rejects some of them."""
+    return 40j * np.tanh(20.0 * (t - 0.5)) * y
+
+
+def chirp_exact(t, t0):
+    return np.exp(2j * (np.log(np.cosh(20.0 * (t - 0.5)))
+                        - np.log(np.cosh(20.0 * (t0 - 0.5)))))
+
+
+@pytest.mark.parametrize("t0,tf", [(0.0, 1.0), (1.0, 0.0)])
+def test_samples_do_not_change_the_steps(t0, tf):
+    y0 = np.array([1.0 + 0j, 0.5j])
+
+    def rhs(t, y):
+        return np.array([chirp(t, y[0]), 3j * y[1] + 0.1 * y[0]])
+
+    runs = [solve_dopri(rhs, t0, tf, y0, rtol=1e-9, atol=1e-9, t_eval=t_eval)
+            for t_eval in (None, [t0, tf], np.linspace(t0, tf, 7),
+                           np.linspace(t0, tf, 600))]
+    assert runs[0].n_rejected > 0
+    for res in runs[1:]:
+        assert (res.n_steps, res.n_rejected, res.n_rhs) \
+            == (runs[0].n_steps, runs[0].n_rejected, runs[0].n_rhs)
+        assert np.array_equal(res.y[-1], runs[0].y[-1])
+    assert runs[-1].n_steps < 600
+
+
+@pytest.mark.parametrize("t0,tf", [(0.0, 1.0), (1.0, 0.0)])
+def test_interpolated_samples_match_closed_forms(t0, tf):
+    tol = 1e-9
+    ts = np.linspace(t0, tf, 600)
+    w = 3.0
+    res = solve_dopri(lambda t, y: 1j * w * y, t0, tf, np.array([1.0 + 0j]),
+                      rtol=tol, atol=tol, t_eval=ts)
+    assert res.n_steps < 100           # several samples inside each step
+    assert np.max(np.abs(res.y[:, 0] - np.exp(1j * w * (ts - t0)))) < 5 * tol
+    res = solve_dopri(chirp, t0, tf, np.array([1.0 + 0j]), rtol=tol,
+                      atol=tol, t_eval=ts)
+    assert res.n_rejected > 0
+    # the global error at the step ends is about 15 tol here
+    assert np.max(np.abs(res.y[:, 0] - chirp_exact(ts, t0))) < 50 * tol
+    np.testing.assert_array_equal(res.t, ts)
+
+
+def test_samples_at_t0_and_on_step_ends_are_exact():
+    ends = []
+    y0 = np.array([1.0 + 0j])
+    solve_dopri(chirp, 0.0, 1.0, y0, rtol=1e-8, atol=1e-8,
+                step_hook=lambda t, y: ends.append((t, y.copy())))
+    t_mid, y_mid = ends[len(ends) // 2]
+    t_eval = [0.0, 0.5 * t_mid, t_mid, 1.0]
+    res = solve_dopri(chirp, 0.0, 1.0, y0, rtol=1e-8, atol=1e-8,
+                      t_eval=t_eval)
+    assert res.y[0][0] == y0[0]
+    assert res.y[2][0] == y_mid[0]
+    assert res.y[3][0] == ends[-1][1][0]
+    assert res.y[1][0] != y0[0]
+
+
+def test_step_hook_runs_once_per_accepted_step():
+    seen = []
+    res = solve_dopri(chirp, 0.0, 1.0, np.array([1.0 + 0j]), rtol=1e-7,
+                      atol=1e-7, t_eval=np.linspace(0.0, 1.0, 2000),
+                      step_hook=lambda t, y: seen.append(t))
+    assert len(seen) == res.n_steps < 500
+    assert np.all(np.diff(seen) > 0) and seen[-1] == 1.0
+
+
+@pytest.mark.parametrize("t_eval", [[0.0, 1.5], [-0.5, 1.0], [0.0, 0.6, 0.4]])
+def test_samples_outside_the_run_are_rejected(t_eval):
+    with pytest.raises(InvalidArgument):
+        solve_dopri(chirp, 0.0, 1.0, np.array([1.0 + 0j]), rtol=1e-8,
+                    atol=1e-8, t_eval=t_eval)

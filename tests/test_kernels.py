@@ -35,8 +35,8 @@ def scipy_reference(family, params, x0, x1, rtol=1e-12, atol=1e-12):
 ])
 def test_pair_kernel_matches_scipy(family, params, x0, x1):
     samples = np.linspace(x0, x1, 5)
-    qa, qb, ph = kernels.pair_evolution(family, params, x0, samples,
-                                        rtol=1e-11, atol=1e-11)
+    qa, qb, ph, _ = kernels.pair_evolution(family, params, x0, samples,
+                                           rtol=1e-11, atol=1e-11)
     qa_ref, qb_ref, ph_ref = scipy_reference(family, params, x0, x1)
     assert abs(qa[-1] - qa_ref) < 2e-8
     assert abs(qb[-1] - qb_ref) < 2e-8
@@ -45,9 +45,9 @@ def test_pair_kernel_matches_scipy(family, params, x0, x1):
 
 def test_pair_identity_conserved():
     samples = np.linspace(-10.0, 10.0, 33)
-    qa, qb, _ = kernels.pair_evolution(kernels.FLRW_TANH, FLRW_PARAMS, -10.0,
-                                       samples, rtol=1e-10, atol=1e-10,
-                                       ident_cap=1e-8)
+    qa, qb, _, _ = kernels.pair_evolution(kernels.FLRW_TANH, FLRW_PARAMS,
+                                          -10.0, samples, rtol=1e-10,
+                                          atol=1e-10, ident_cap=1e-8)
     drift = np.max(np.abs(np.abs(qa) ** 2 - np.abs(qb) ** 2 - 1.0))
     assert drift < 1e-10
 
@@ -61,7 +61,7 @@ def test_identity_cap_triggers():
 
 def test_sampling_grid_is_honored():
     samples = np.linspace(-10.0, 10.0, 101)
-    qa, qb, ph = kernels.pair_evolution(kernels.FLRW_TANH, FLRW_PARAMS,
-                                        -10.0, samples)
+    qa, qb, ph, _ = kernels.pair_evolution(kernels.FLRW_TANH, FLRW_PARAMS,
+                                           -10.0, samples)
     assert len(qa) == len(samples) == len(qb) == len(ph)
     assert qa[0] == 1.0 + 0j and qb[0] == 0.0 + 0j and ph[0] == 0.0
