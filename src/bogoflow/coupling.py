@@ -243,16 +243,17 @@ def _conjugate_partners(labels, periodic):
     return np.array([index[f] for f in flipped])
 
 
-def closed_mode_count(op: OperatorSpec, st: SyncSpacetime, n_modes: int,
-                      t_ref: float = 0.0) -> int:
+def closed_mode_count(op: OperatorSpec, st: SyncSpacetime,
+                      n_modes: int) -> int:
     """Smallest count >= ``n_modes`` whose lowest modes close under conjugation.
 
     On a torus the lowest ``n_modes`` can split a degenerate shell and
     leave a mode (n,) without its partner (-n,); this is the count of
-    modes that :class:`DiagonalFamilyDriver` accepts at or above it.
+    modes that :class:`DiagonalFamilyDriver` accepts at or above it.  A
+    pair has one frequency at every time, so the basis at t = 0 decides.
     """
     count = n_modes
-    while _conjugate_partners(instantaneous_basis(op, st, t_ref, count).labels,
+    while _conjugate_partners(instantaneous_basis(op, st, 0.0, count).labels,
                               st.domain.periodic) is None:
         count += 1
     return count

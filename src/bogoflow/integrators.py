@@ -95,7 +95,8 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
 
     The error controller alone chooses the steps; only the last one is
     shortened to end on tf.  ``t_eval`` (default ``[tf]``) must run
-    monotonically from t0 towards tf, in either direction.  A sample at t0
+    monotonically from t0 towards tf, in either direction, and the run ends
+    on its last sample, taking no step if none lies past t0.  A sample at t0
     returns y0 and a sample on a step end that step's y; every other sample
     is read from its step's quartic interpolant, so the samples change no
     step.  ``step_hook(t, y)`` runs after every accepted step and may raise
@@ -105,15 +106,18 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
     if tf == t0:
         raise StepFailure("empty integration interval")
     direction = 1.0 if tf > t0 else -1.0
-    span = abs(tf - t0)
     ts = np.array([tf] if t_eval is None else t_eval, dtype=float)
     along = direction * (ts - t0)          # distance from t0 towards tf
-    if ts.size and not (along[0] >= 0 and along[-1] <= span
+    if ts.size and not (along[0] >= 0 and along[-1] <= abs(tf - t0)
                         and np.all(np.diff(along) >= 0)):
         raise InvalidArgument("t_eval must run monotonically from t0 to tf")
     out = np.empty((ts.size, y.size), dtype=complex)
     ti = int(np.searchsorted(along, 0.0, side="right"))
     out[:ti] = y
+    if ti == ts.size:                      # no sample past t0: no step
+        return OdeResult(t=ts, y=out, n_steps=0, n_rejected=0, n_rhs=0)
+    tf = ts[-1]                            # the run ends on its last sample
+    span = abs(tf - t0)
 
     t = t0
     k = np.empty((7, y.size), dtype=complex)
@@ -137,17 +141,20 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
         if err_norm <= 1.0:
             n_steps += 1
             t_new = tf if last else t + dt
-            end = ts.size if last else int(np.searchsorted(
-                along, direction * (t_new - t0), side="right"))
-            if end > ti:
-                x = (ts[ti:end] - t) / dt
+            # samples before the step end are interpolated, those on it
+            # take y_new
+            at = direction * (t_new - t0)
+            inner = int(np.searchsorted(along, at, side="left"))
+            end = int(np.searchsorted(along, at, side="right"))
+            if inner > ti:
+                x = (ts[ti:inner] - t) / dt
                 # einsum, not matrix products: the pair kernels make no
                 # other BLAS matrix product, and the first one of a
                 # process adds 256 KiB of resident memory
-                out[ti:end] = y + dt * np.einsum(
+                out[ti:inner] = y + dt * np.einsum(
                     "sp,ip,in->sn", x[:, None] ** _POWERS, DP_P, k)
-                out[ti:end][ts[ti:end] == t_new] = y_new
-                ti = end
+            out[inner:end] = y_new
+            ti = end
             t, y = t_new, y_new
             k[0] = k[6]
             if step_hook is not None:

@@ -285,3 +285,27 @@ def test_samples_outside_the_run_are_rejected(t_eval):
     with pytest.raises(InvalidArgument):
         solve_dopri(chirp, 0.0, 1.0, np.array([1.0 + 0j]), rtol=1e-8,
                     atol=1e-8, t_eval=t_eval)
+
+
+def test_run_ends_on_the_last_sample():
+    y0 = np.array([1.0 + 0j])
+    seen = []
+    short = solve_dopri(chirp, 0.0, 1.0, y0, rtol=1e-8, atol=1e-8,
+                        t_eval=[0.2, 0.6],
+                        step_hook=lambda t, y: seen.append(t))
+    ref = solve_dopri(chirp, 0.0, 0.6, y0, rtol=1e-8, atol=1e-8,
+                      t_eval=[0.2, 0.6])
+    assert (short.n_steps, short.n_rejected, short.n_rhs) \
+        == (ref.n_steps, ref.n_rejected, ref.n_rhs)
+    assert np.array_equal(short.y, ref.y) and seen[-1] == 0.6
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return chirp(t, y)
+
+    for t_eval in ([], [0.0, 0.0]):
+        res = solve_dopri(counted, 0.0, 1.0, y0, rtol=1e-8, atol=1e-8,
+                          t_eval=t_eval)
+        assert res.y.shape == (len(t_eval), 1) and np.all(res.y == y0)
+        assert res.n_steps == res.n_rhs == 0 and not calls
