@@ -23,7 +23,8 @@ from .evolution import (BogoliubovMatrix, PhaseAccumulator, compose, evolve_Q,
 from .perturbation import (DeltaCoupling, PerturbationSpec, ResonanceReport,
                            asymptotic_coefficients, delta_coupling_from_modes,
                            delta_coupling_operator_form, equivalence_reduce,
-                           resonance_scan, window_coefficients)
+                           resonance_scan, window_coefficients,
+                           window_series)
 
 __all__ = [
     "errors",
@@ -39,7 +40,7 @@ __all__ = [
     "DeltaCoupling", "PerturbationSpec", "ResonanceReport",
     "asymptotic_coefficients", "delta_coupling_from_modes",
     "delta_coupling_operator_form", "equivalence_reduce", "resonance_scan",
-    "window_coefficients",
+    "window_coefficients", "window_series",
 ]
 
 __version__ = "0.1.0"

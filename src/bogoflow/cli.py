@@ -26,6 +26,7 @@ from . import __version__, kernels
 from .errors import (BogoflowError, IdentityDrift, InvalidArgument,
                      StepFailure)
 from .evolution import evolve_Q, identity_residual
+from .perturbation import window_series
 from .scenarios import (FlrwConfig, GwCavityConfig, flrw_run, gw_cavity_run)
 
 _SCENARIOS = ("flrw", "gw_cavity", "custom")
@@ -233,21 +234,19 @@ def _run_gw(cfg, tol, n_modes, rng):
     columns = []
     if coeffs is not None and result.dc.tau is None:
         # growth series of the resonant channels over the window
-        from .perturbation import window_coefficients
         t0, tf = result.meta["window"]
         ts = np.linspace(t0, tf, 201)[1:]
-        chans = [(e.kind, result.basis.labels.index(e.n),
-                  result.basis.labels.index(e.m)) for e in result.report]
-        series = {c: [] for c in chans}
-        for tcur in ts:
-            m = window_coefficients(result.dc, result.basis, t0, tcur)
-            for kind, i, j in chans:
-                block = m.alpha if kind == "alpha" else m.beta
-                series[(kind, i, j)].append(abs(block[i, j]))
+        labels = result.basis.labels
+        chans = [(e.kind, labels.index(e.n), labels.index(e.m))
+                 for e in result.report]
+        coef = window_series(result.dc, t0, ts, chans)
+        # hypot rounds as the scalar abs of one coefficient does; numpy's
+        # vectorised complex abs may differ from it in the last bit
+        series = np.hypot(coef.real, coef.imag)
         columns.append(("t", ts))
-        for (kind, i, j), vals in series.items():
-            name = f"{kind}_{result.basis.labels[i]}_{result.basis.labels[j]}"
-            columns.append((f"abs_{name}".replace(" ", ""), np.array(vals)))
+        for c, (kind, i, j) in enumerate(chans):
+            name = f"{kind}_{labels[i]}_{labels[j]}"
+            columns.append((f"abs_{name}".replace(" ", ""), series[:, c]))
 
     record = {
         "resonances": entries,

@@ -183,12 +183,15 @@ class DeltaCoupling:
         return tuple((float(w), complex(c))
                      for w, c in zip(self.freqs, amps) if c != 0)
 
-    def _at(self, k: int, t):
-        """Matrices of kind k at time(s) t, shape t.shape + (n, n)."""
+    def _at(self, k: int, t, live=None):
+        """Matrices of kind k at time(s) t, shape t.shape + (n, n); with a
+        boolean (n, n) mask ``live``, its channels only, t.shape + (L,)."""
         t = np.asarray(t, dtype=float)
         phases = np.exp(1j * np.multiply.outer(t, self.freqs))
         if self.tau is not None:
             phases = phases * np.exp(-(t / self.tau) ** 2)[..., None]
+        if live is not None:
+            return np.einsum("...t,tl->...l", phases, self.amps[k][:, live])
         return np.einsum("...t,tij->...ij", phases, self.amps[k])
 
     def alpha(self, t: float) -> np.ndarray:
@@ -308,28 +311,28 @@ def delta_coupling_operator_form(static_basis: ModeBasis,
 # ``dc.basis`` in labels and frequencies, else InvalidArgument
 
 
-def _scaled_erf(s: float, a):
+def _scaled_erf(s, a):
     """exp(-a^2) * erf(s - i a), stable for any detuning via the Faddeeva w.
 
     The naive product overflows once |a| > ~26 (erf grows like exp(a^2) off
     the real axis); rewriting through w(z) = exp(-z^2) erfc(-iz) keeps every
     factor bounded.  Evaluated at |s|, |a| and mapped back by the symmetries
-    f(-s, a) = -conj f(s, a) and f(s, -a) = conj f(s, a).
+    f(-s, a) = -conj f(s, a) and f(s, -a) = conj f(s, a).  ``s`` and ``a``
+    broadcast against each other.
     """
+    s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    s_abs, a_abs = abs(s), np.abs(a)
-    if s_abs == 0:
-        out = -2j * dawsn(a_abs) / np.sqrt(np.pi)
-    else:
-        out = np.exp(-a_abs ** 2) - np.exp(-s_abs ** 2) \
-            * np.exp(2j * a_abs * s_abs) * wofz(a_abs + 1j * s_abs)
-    if s < 0:
-        out = -np.conj(out)
+    s_abs, a_abs = np.abs(s), np.abs(a)
+    out = np.where(s_abs == 0, -2j * dawsn(a_abs) / np.sqrt(np.pi),
+                   np.exp(-a_abs ** 2) - np.exp(-s_abs ** 2)
+                   * np.exp(2j * a_abs * s_abs) * wofz(a_abs + 1j * s_abs))
+    out = np.where(s < 0, -np.conj(out), out)
     return np.where(a < 0, np.conj(out), out)
 
 
 def _tone_window_integral(delta, t0, tf, tau):
-    """int_{t0}^{tf} e^{i delta t} (envelope) dt, exactly, for arrays of delta."""
+    """int_{t0}^{tf} e^{i delta t} (envelope) dt, exactly; ``delta`` and
+    ``tf`` may be arrays that broadcast against each other."""
     delta = np.asarray(delta, dtype=float)
     if tau is None:
         # int_0^1 e^{i x u} du has modulus sinc(x/2) = np.sinc(x/(2 pi))
@@ -367,21 +370,27 @@ def _channel_integrals(dc: DeltaCoupling, t0, tf, method):
     if method == "tones":
         return np.sum(dc.amps * _tone_window_integral(dc.detunings, t0, tf,
                                                       dc.tau), axis=1)
-    # composite Gauss-Legendre panels in time on all channels of one kind
+    # composite Gauss-Legendre panels in time on the live channels of a kind
     return np.stack([_quadrature_integrals(dc, k, t0, tf) for k in (0, 1)])
 
 
 def _quadrature_integrals(dc: DeltaCoupling, k, t0, tf):
-    res = dc.resonances[k]
+    """(n, n) window integrals of kind k; channels without tones stay 0."""
+    out = np.zeros((dc.n_modes,) * 2, dtype=complex)
+    live = np.any(dc.amps[k] != 0, axis=0)
+    if not live.any():
+        return out
+    res = dc.resonances[k][live]
     panels, prev = 1, None
     while True:
         tq, wq = panel_rule(panels, t0, tf)
-        vals = dc._at(k, tq)                            # (nq, n, n)
-        phases = np.exp(-1j * np.einsum("ij,q->qij", res, tq))
-        est = np.einsum("q,qij->ij", wq, vals * phases)
+        vals = dc._at(k, tq, live)                      # (nq, L)
+        phases = np.exp(-1j * np.multiply.outer(tq, res))
+        est = np.einsum("q,ql->l", wq, vals * phases)
         if prev is not None and np.max(np.abs(est - prev)) <= \
                 1e-10 * max(np.max(np.abs(est)), 1e-300) + 1e-14:
-            return est
+            out[live] = est
+            return out
         if tq.size >= _WINDOW_MAX_NODES:
             raise QuadratureFailure(
                 f"window integrals over ({t0}, {tf}) not converged with "
@@ -414,6 +423,32 @@ def window_coefficients(dc: DeltaCoupling, static_basis: ModeBasis,
     np.fill_diagonal(alpha, 1.0)
     out = BogoliubovMatrix(alpha, beta, meta)
     out.meta["first_order"] = True
+    return out
+
+
+def window_series(dc: DeltaCoupling, t0: float, ts,
+                  channels) -> np.ndarray:
+    """First-order coefficients of a few channels over [t0, t] for every t
+    in ``ts``, shape (len(ts), len(channels)).
+
+    ``channels`` holds (kind, i, j) triples with kind "alpha" or "beta".
+    Entry [s, c] equals ``window_coefficients(dc, dc.basis, t0, ts[s])``'s
+    entry (i, j) of that kind, from exact tone integrals over all end times
+    at once.  The series starts at short windows by design, so no validity
+    window is checked.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not len(channels):
+        return np.zeros((ts.size, 0), dtype=complex)
+    k, i, j = (np.array(v) for v in zip(*[(KINDS.index(kind), i, j)
+                                          for kind, i, j in channels]))
+    w = dc.basis.omegas
+    res = np.where(k == 0, w[i] - w[j], w[i] + w[j])
+    amps = dc.amps[k, :, i, j].T                        # (T, C)
+    detunings = dc.freqs[:, None] - res                 # (T, C)
+    grid = _tone_window_integral(detunings[:, None], t0, ts[:, None], dc.tau)
+    out = dc.epsilon * np.sum(amps[:, None] * grid, axis=0)
+    out[:, (k == 0) & (i == j)] = 1.0
     return out
 
 

@@ -90,34 +90,42 @@ class SeparableFunction:
 
 
 def _int_cos(k, L):
-    # integral of cos(kx) over [0, L]
-    return L if abs(k) < _TINY_K else np.sin(k * L) / k
+    # integral of cos(kx) over [0, L], for an array of k
+    flat = np.abs(k) < _TINY_K
+    k = np.where(flat, 1.0, k)
+    return np.where(flat, L, np.sin(k * L) / k)
 
 
 def _int_sin(k, L):
-    # integral of sin(kx) over [0, L]
-    return 0.0 if abs(k) < _TINY_K else (1.0 - np.cos(k * L)) / k
+    # integral of sin(kx) over [0, L], for an array of k
+    flat = np.abs(k) < _TINY_K
+    k = np.where(flat, 1.0, k)
+    return np.where(flat, 0.0, (1.0 - np.cos(k * L)) / k)
 
 
-def _axis_pair(fa: AxisFactor, fb: AxisFactor, L: float, conj_b: bool):
-    """Exact integral over [0, L] of fa(x) * fb(x) (fb conjugated on demand)."""
-    if fa.kind == "exp" or fb.kind == "exp":
-        if fa.kind != "exp" or fb.kind != "exp":
+def _axis_table(factors_a, factors_b, L: float, conj_b: bool) -> np.ndarray:
+    """Exact integrals over [0, L] of fa(x) * fb(x) (fb conjugated on
+    demand), for fa in ``factors_a`` (rows) and fb in ``factors_b``."""
+    ka = np.array([f.k for f in factors_a], dtype=float)
+    kb = np.array([f.k for f in factors_b], dtype=float)
+    exp_a = np.array([f.kind == "exp" for f in factors_a], dtype=bool)
+    exp_b = np.array([f.kind == "exp" for f in factors_b], dtype=bool)
+    diff, total = np.subtract.outer(ka, kb), np.add.outer(ka, kb)
+    if exp_a.any() or exp_b.any():
+        if not (exp_a.all() and exp_b.all()):
             raise InvalidArgument("mixed exp/trig factors on one axis")
-        k = fa.k - fb.k if conj_b else fa.k + fb.k
-        if abs(k) < _TINY_K:
-            return complex(L)
-        return (np.exp(1j * k * L) - 1.0) / (1j * k)
-    ka, kb = fa.k, fb.k
-    pair = (fa.kind, fb.kind)
-    if pair == ("sin", "sin"):
-        return 0.5 * (_int_cos(ka - kb, L) - _int_cos(ka + kb, L))
-    if pair == ("cos", "cos"):
-        return 0.5 * (_int_cos(ka - kb, L) + _int_cos(ka + kb, L))
-    if pair == ("sin", "cos"):
-        return 0.5 * (_int_sin(ka + kb, L) + _int_sin(ka - kb, L))
-    # cos * sin: swap roles
-    return 0.5 * (_int_sin(ka + kb, L) - _int_sin(ka - kb, L))
+        k = diff if conj_b else total
+        flat = np.abs(k) < _TINY_K
+        k = np.where(flat, 1.0, k)
+        return np.where(flat, L, (np.exp(1j * k * L) - 1.0) / (1j * k))
+    cos_diff, cos_total = _int_cos(diff, L), _int_cos(total, L)
+    sin_diff, sin_total = _int_sin(diff, L), _int_sin(total, L)
+    sin_a = np.array([f.kind == "sin" for f in factors_a], dtype=bool)[:, None]
+    sin_b = np.array([f.kind == "sin" for f in factors_b], dtype=bool)[None, :]
+    return np.select([sin_a & sin_b, ~sin_a & ~sin_b, sin_a],
+                     [0.5 * (cos_diff - cos_total), 0.5 * (cos_diff + cos_total),
+                      0.5 * (sin_total + sin_diff)],
+                     0.5 * (sin_total - sin_diff))     # cos * sin
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +181,23 @@ class GridMode:
 # slice integrals
 
 
+def _term_rows(modes):
+    """Terms of ``modes`` in mode order: coefficients, amplitudes, the
+    index of each term's mode, and each term's axis factors."""
+    terms = [(i, c, f) for i, m in enumerate(modes) for c, f in m.terms]
+    coef = np.array([c for _, c, _ in terms], dtype=complex)
+    amp = np.array([f.amplitude for _, _, f in terms], dtype=complex)
+    owner = np.array([i for i, _, _ in terms], dtype=int)
+    return coef, amp, owner, [f.factors for _, _, f in terms]
+
+
+def _distinct(factors, ax):
+    """Distinct axis-``ax`` factors and each term's index into them."""
+    index = {}
+    ids = [index.setdefault(f[ax], len(index)) for f in factors]
+    return list(index), np.array(ids, dtype=int)
+
+
 class SliceContext:
     """Mode pair integrals on one slice.
 
@@ -215,26 +240,29 @@ class SliceContext:
         return self._gram_quadrature(modes_a, modes_b, conj, weight)
 
     def _gram_separable(self, modes_a, modes_b, conj, weight):
+        """Sum over term pairs of amplitudes times per-axis factor integrals.
+
+        Each axis' integrals come from one table over the distinct factor
+        pairs on that axis.  Every term product is formed, and added into
+        its mode pair, in the order of a nested loop over modes, terms and
+        axes, so an entry does not depend on the other modes in the Gram.
+        """
         L = self.spacetime.domain.lengths
-        root_h = self.sqrt_det()
-        out = np.zeros((len(modes_a), len(modes_b)), dtype=complex)
-        for i, ma in enumerate(modes_a):
-            for j, mb in enumerate(modes_b):
-                acc = 0.0 + 0.0j
-                for ca, fa in ma.terms:
-                    for cb, fb in mb.terms:
-                        amp = fa.amplitude * (np.conj(fb.amplitude) if conj
-                                              else fb.amplitude)
-                        cc = ca * (np.conj(cb) if conj else cb)
-                        prod = amp * cc
-                        for ax in range(len(L)):
-                            prod *= _axis_pair(fa.factors[ax], fb.factors[ax],
-                                               L[ax], conj)
-                            if prod == 0:
-                                break
-                        acc += prod
-                out[i, j] = acc
-        return out * root_h * weight
+        na, nb = len(modes_a), len(modes_b)
+        coef_a, amp_a, owner_a, factors_a = _term_rows(modes_a)
+        coef_b, amp_b, owner_b, factors_b = _term_rows(modes_b)
+        if conj:
+            coef_b, amp_b = np.conj(coef_b), np.conj(amp_b)
+        prod = np.multiply.outer(amp_a, amp_b) * np.multiply.outer(coef_a, coef_b)
+        for ax in range(len(L)):
+            ua, ia = _distinct(factors_a, ax)
+            ub, ib = _distinct(factors_b, ax)
+            prod = prod * _axis_table(ua, ub, L[ax], conj)[np.ix_(ia, ib)]
+        pair = np.add.outer(owner_a * nb, owner_b).ravel()
+        out = np.empty(na * nb, dtype=complex)
+        out.real = np.bincount(pair, prod.real.ravel(), na * nb)
+        out.imag = np.bincount(pair, prod.imag.ravel(), na * nb)
+        return out.reshape(na, nb) * self.sqrt_det() * weight
 
     def _gram_quadrature(self, modes_a, modes_b, conj, weight):
         L = self.spacetime.domain.lengths[0]
@@ -397,18 +425,23 @@ def separable_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
                    + pot)
         factor_sets.append(factors)
 
+    # sqrt(det h) times the squared norms of each mode's factors, one table
+    # per axis
+    norms = np.full(len(factor_sets), root_h)
+    for ax, L in enumerate(st.domain.lengths):
+        distinct, ids = _distinct(factor_sets, ax)
+        squares = np.real(np.diagonal(_axis_table(distinct, distinct, L, True)))
+        norms = norms * squares[ids]
+
     scale_w2 = max(max(abs(v) for v in w2s), 1.0)
     omegas, modes = [], []
-    for label, w2, factors in zip(labels, w2s, factor_sets):
+    for label, w2, factors, norm in zip(labels, w2s, factor_sets, norms):
         if w2 < -_ZERO_TOL * scale_w2:
             raise NegativeEigenvalue(f"omega^2 = {w2:.3e} for mode {label}")
         if abs(w2) <= _ZERO_TOL * scale_w2:
             raise ZeroMode(
                 f"mode {label} has omega^2 = {w2:.3e}; consider a mass shift")
         omega = np.sqrt(w2)
-        norm = root_h
-        for ax, f in enumerate(factors):
-            norm *= np.real(_axis_pair(f, f, st.domain.lengths[ax], True))
         amp = 1.0 / np.sqrt(2.0 * omega * norm)
         modes.append(SeparableMode(tuple(label),
                                    ((1.0 + 0.0j, SeparableFunction(amp, factors)),),

@@ -209,6 +209,63 @@ def test_unconverged_quadrature_window_raises(monkeypatch):
     assert max(nodes) == 16384
 
 
+def counted_panel_rule(monkeypatch):
+    from bogoflow import perturbation
+
+    calls = []
+
+    def counted_rule(panels, a, b):
+        calls.append(panels)
+        return panel_rule(panels, a, b)
+
+    monkeypatch.setattr(perturbation, "panel_rule", counted_rule)
+    return calls
+
+
+def test_quadrature_window_of_a_kind_without_tones_is_zero(monkeypatch):
+    """A kind whose amplitudes all vanish returns exact zeros at once,
+    without building a rule."""
+    from bogoflow.perturbation import _quadrature_integrals
+
+    calls = counted_panel_rule(monkeypatch)
+    _, _, basis = gw_static_basis(CFG)
+    i = basis.labels.index((1, 1, 1))
+    dc = DeltaCoupling(basis=basis, epsilon=1e-5, tones_alpha={},
+                       tones_beta={(i, i): ((2.0 * basis.omegas[i], 1.0),)})
+    alpha = _quadrature_integrals(dc, 0, 0.0, 3.0)
+    assert alpha.shape == (basis.n_modes, basis.n_modes)
+    assert np.all(alpha == 0.0) and calls == []
+    silent = DeltaCoupling(basis=basis, epsilon=1e-5, tones_alpha={},
+                           tones_beta={})
+    m = window_coefficients(silent, basis, 0.0, 3.0, method="quadrature")
+    assert np.array_equal(m.alpha, np.eye(basis.n_modes))
+    assert np.all(m.beta == 0.0) and calls == []
+
+
+def test_quadrature_window_on_live_and_dead_channels():
+    """Channels with tones match the exact tone integrals at the bound of
+    ``test_window_quadrature_agrees_with_tones``; channels without stay 0."""
+    _, _, basis = gw_static_basis(CFG)
+    w = basis.omegas
+    tones_a = {(0, 1): ((w[0] - w[1] + 0.3, 0.5 - 0.2j), (4.0, 1.1)),
+               (5, 2): ((w[5] - w[2], 0.8),)}
+    tones_b = {(1, 1): ((2 * w[1], 1.0 + 0.5j), (2 * w[1] - 2.0, -0.3)),
+               (0, 3): ((w[0] + w[3] + 0.1, 0.25j),)}
+    dc = DeltaCoupling(basis=basis, epsilon=1e-5, tones_alpha=tones_a,
+                       tones_beta=tones_b)
+    T = 30 * np.pi / CFG.wave_frequency()
+    m_t = window_coefficients(dc, basis, 0.0, T, method="tones")
+    m_q = window_coefficients(dc, basis, 0.0, T, method="quadrature")
+    for got, ref, table in ((m_q.alpha, m_t.alpha, tones_a),
+                            (m_q.beta, m_t.beta, tones_b)):
+        assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(ref))
+        dead = np.ones(got.shape, dtype=bool)
+        dead[tuple(zip(*table))] = False
+        if got is m_q.alpha:
+            np.fill_diagonal(dead, False)
+        assert np.all(got[dead] == 0.0)
+
+
 def test_asymptotic_matches_numeric_window():
     omega = CFG.wave_frequency()
     cfg = GwCavityConfig(lengths=CFG.lengths, epsilon=1e-5,
