@@ -212,9 +212,10 @@ def _run_flrw(cfg, tol, n_modes, rng):
             "max_rel_mismatch": float(rel_miss),
         },
         "backend": result.meta["backend"],
-        # solver counts summed over the pairs
+        # solver counts summed over the pairs, step-size range over them
         "diagnostics": {name: {key: res.meta[key]
-                               for key in ("n_steps", "n_rejected", "n_rhs")}
+                               for key in ("n_steps", "n_rejected", "n_rhs",
+                                           "h_min", "h_max")}
                         for name, res in (("run", result),
                                           ("convergence_rerun", rerun))},
     }

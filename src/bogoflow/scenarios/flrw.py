@@ -3,9 +3,9 @@
 The scale factor is a(eta) = sqrt(A + B tanh(rho eta)) in conformal time;
 coordinate time follows from dt = a d(eta) by cumulative quadrature since
 no closed form exists.  Each mode pair (n, -n) decouples into one small
-phase-stripped ODE system integrated by the scenario kernel; the analytic
-asymptotic pair-creation formula for this profile serves as the oracle for
-the plateau values.
+phase-stripped ODE system; the scenario kernel integrates all pairs of a
+run as the rows of one solve.  The analytic asymptotic pair-creation
+formula for this profile serves as the oracle for the plateau values.
 """
 
 import warnings
@@ -87,24 +87,29 @@ class FlrwTimeGrid:
         return self._a_eta(self._to_eta(t))
 
 
-def flrw_time_grid(cfg: FlrwConfig, n_points: int = 20001) -> FlrwTimeGrid:
-    """Cumulative quadrature of dt = a(eta) d(eta) plus monotone interpolation.
-
-    Each grid interval is integrated with a 5-point Gauss rule, so the grid
-    values are exact to machine precision for this smooth profile.
-    """
-    eta = np.linspace(cfg.eta_span[0], cfg.eta_span[1], n_points)
+def _eta_to_t(cfg: FlrwConfig, eta: np.ndarray) -> np.ndarray:
+    """t at increasing eta, from dt = a(eta) d(eta) by a 5-point Gauss rule
+    on each interval (exact to machine precision for this smooth profile),
+    anchored at t(eta = 0) = 0 when eta straddles 0, else at eta[0]."""
+    straddles = eta[0] < 0.0 < eta[-1]
+    knots = np.union1d(eta, 0.0) if straddles else eta
     xg, wg = _leggauss(5)
-    half = 0.5 * np.diff(eta)
-    mid = eta[:-1] + half
+    half = 0.5 * np.diff(knots)
+    mid = knots[:-1] + half
     nodes = mid[:, None] + half[:, None] * xg[None, :]
     seg = np.sum(wg[None, :] * cfg.scale_factor_eta(nodes), axis=1) * half
     t = np.concatenate(([0.0], np.cumsum(seg)))
     if np.any(np.diff(t) <= 0):
         raise NonMonotonicGrid("t(eta) failed to be strictly increasing")
-    # anchor t(eta = 0) = 0
-    if eta[0] < 0.0 < eta[-1]:
-        t = t - PchipInterpolator(eta, t)(0.0)
+    if straddles:
+        t = t - t[np.searchsorted(knots, 0.0)]
+    return t[np.searchsorted(knots, eta)]
+
+
+def flrw_time_grid(cfg: FlrwConfig, n_points: int = 20001) -> FlrwTimeGrid:
+    """Dense eta <-> t grid (see :func:`_eta_to_t`) with monotone interpolation."""
+    eta = np.linspace(cfg.eta_span[0], cfg.eta_span[1], n_points)
+    t = _eta_to_t(cfg, eta)
     return FlrwTimeGrid(eta=eta, t=t,
                         _to_t=PchipInterpolator(eta, t),
                         _to_eta=PchipInterpolator(t, eta),
@@ -149,10 +154,10 @@ class FlrwResult:
         return float(np.max(np.abs(self.alpha2 - 1.0 - self.beta2)))
 
 
-def _run_single_k(cfg: FlrwConfig, k: float, eta_samples):
-    """(alpha, beta, solver counts) of the pair with wavenumber k."""
+def _run_pairs(cfg: FlrwConfig, ks, eta_samples):
+    """(alpha, beta, solver counts) of the pairs with wavenumbers ks."""
     qa, qb, phase, stats = kernels.pair_evolution(
-        kernels.FLRW_TANH, [cfg.A, cfg.B, cfg.rho, k, cfg.m],
+        kernels.FLRW_TANH, [[cfg.A, cfg.B, cfg.rho, k, cfg.m] for k in ks],
         float(eta_samples[0]), eta_samples,
         rtol=cfg.tol, atol=cfg.tol, ident_cap=100.0 * cfg.tol)
     # U = Theta Q: the pair shares one accumulated phase
@@ -167,9 +172,9 @@ def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
     Initial data alpha = 1, beta = 0 is imposed at the left end of the
     grid; the span should satisfy |rho eta| >= 8 at both ends for that to
     approximate the asymptotic past (warned otherwise).  The massless field
-    is exactly trivial: the pair rate carries a factor m^2.  ``meta`` holds
-    the solver's ``n_steps``, ``n_rejected`` and ``n_rhs`` summed over the
-    pairs.
+    is exactly trivial: the pair rate carries a factor m^2.  All pairs are
+    the rows of one solve; ``meta`` holds its ``n_steps``, ``n_rejected``
+    and ``n_rhs`` summed over the pairs and its ``h_min`` and ``h_max``.
     """
     if not cfg.saturated():
         warnings.warn("eta_span too short for asymptotic initial data "
@@ -178,18 +183,15 @@ def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
     if include_zero_mode and cfg.m > 0:
         labels = [0] + labels
     eta_samples = np.linspace(cfg.eta_span[0], cfg.eta_span[1], n_samples)
-    grid = flrw_time_grid(cfg)
-    results = [_run_single_k(cfg, cfg.k_n(n), eta_samples) for n in labels]
-    alpha = np.stack([r[0] for r in results])
-    beta = np.stack([r[1] for r in results])
+    alpha, beta, stats = _run_pairs(cfg, [cfg.k_n(n) for n in labels],
+                                    eta_samples)
     oracle = np.array([asymptotic_beta_squared(cfg, cfg.k_n(n)) for n in labels])
 
     result = FlrwResult(config=cfg, labels=tuple(labels), eta=eta_samples,
-                        t=grid.eta_to_t(eta_samples), alpha=alpha, beta=beta,
-                        oracle_beta2=oracle)
+                        t=_eta_to_t(cfg, eta_samples), alpha=alpha,
+                        beta=beta, oracle_beta2=oracle)
     result.meta["backend"] = kernels.backend_name
-    for key in results[0][2]:
-        result.meta[key] = sum(r[2][key] for r in results)
+    result.meta.update(stats)
     result.meta["pair_identity_residual"] = result.pair_identity_residual()
 
     beta2 = result.beta2
@@ -217,7 +219,7 @@ def flrw_unconfined_limit(cfg: FlrwConfig, k: float,
     if k <= 0:
         raise InvalidArgument("wavenumber k must be positive")
     eta_samples = np.linspace(cfg.eta_span[0], cfg.eta_span[1], n_samples)
-    alpha, beta, _ = _run_single_k(cfg, k, eta_samples)
+    (alpha,), (beta,), _ = _run_pairs(cfg, [k], eta_samples)
     return {
         "k": k,
         "eta": eta_samples,

@@ -221,8 +221,8 @@ def gw_nonperturbative_pair(cfg: GwCavityConfig, label, t_samples,
                   np.pi * label[2] / cfg.lengths[2])
     params = [kx ** 2, ky ** 2, kz ** 2, dm ** 2, cfg.epsilon,
               cfg.wave_frequency(), cfg.tau if cfg.tau is not None else 0.0]
-    qa, qb, phase, _ = kernels.pair_evolution(
-        kernels.GW_MODE, params, float(t_samples[0]), t_samples,
+    (qa,), (qb,), (phase,), _ = kernels.pair_evolution(
+        kernels.GW_MODE, [params], float(t_samples[0]), t_samples,
         rtol=cfg.tol, atol=cfg.tol, ident_cap=100.0 * cfg.tol)
     rot = np.exp(1j * phase)
     return rot * qa, rot * qb

@@ -260,6 +260,8 @@ def test_flrw_record_diagnostics_count_steps_not_samples(tmp_path):
     assert {k: two[k] for k in run} == run
     rerun = diag["convergence_rerun"]
     assert rerun["n_steps"] > run["n_steps"]       # at half the tolerance
+    for counts in (run, rerun):                    # inside the eta span
+        assert 0 < counts["h_min"] < counts["h_max"] < 20.0
 
 
 GW_BLOCK = {"lengths": [1.0, 2.0, 1.0], "epsilon": 1e-5}

@@ -141,6 +141,17 @@ def test_step_failure_on_singular_rhs():
         solve_dopri(rhs, 0.0, 1.0, np.array([1.0 + 0j]), rtol=1e-8, atol=1e-8)
 
 
+def test_step_failure_in_one_row_of_a_batch():
+    poles = np.array([5.0, 0.5])
+
+    def rhs(t, y):
+        return y / (poles - t)[:, None]
+
+    with pytest.raises(StepFailure, match=r"t = 0\.49"):
+        solve_dopri(rhs, 0.0, 1.0, np.ones((2, 1), dtype=complex),
+                    rtol=1e-8, atol=1e-8)
+
+
 def test_empty_interval_rejected():
     with pytest.raises(InvalidArgument):
         evolve_U(static_driver([1.0]), 1.0, 1.0)
@@ -197,6 +208,7 @@ def test_evolution_calls_driver_at_t0_and_in_rhs_only(rng):
             meta = (last[0] if evolve is evolve_Q else last).meta
             assert len(calls) == 1 + meta["n_rhs"]
             assert meta["n_steps"] > 0
+            assert 0 < meta["h_min"] <= meta["h_max"] <= 2.0
             assert isinstance(meta["n_rejected"], int) \
                 and meta["n_rejected"] >= 0
 
@@ -309,3 +321,4 @@ def test_run_ends_on_the_last_sample():
                           t_eval=t_eval)
         assert res.y.shape == (len(t_eval), 1) and np.all(res.y == y0)
         assert res.n_steps == res.n_rhs == 0 and not calls
+        assert res.h_min is None and res.h_max is None

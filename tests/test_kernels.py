@@ -1,9 +1,13 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from bogoflow import kernels
 from bogoflow.errors import IdentityDrift
+from bogoflow.integrators import solve_dopri
 
 FLRW_PARAMS = [2.5, 1.5, 1.0, 2.0 * np.pi / 1000.0, 0.1]
 GW_PARAMS = [np.pi ** 2, np.pi ** 2 / 4, np.pi ** 2, 0.0, 1e-4,
@@ -35,8 +39,8 @@ def scipy_reference(family, params, x0, x1, rtol=1e-12, atol=1e-12):
 ])
 def test_pair_kernel_matches_scipy(family, params, x0, x1):
     samples = np.linspace(x0, x1, 5)
-    qa, qb, ph, _ = kernels.pair_evolution(family, params, x0, samples,
-                                           rtol=1e-11, atol=1e-11)
+    (qa,), (qb,), (ph,), _ = kernels.pair_evolution(
+        family, [params], x0, samples, rtol=1e-11, atol=1e-11)
     qa_ref, qb_ref, ph_ref = scipy_reference(family, params, x0, x1)
     assert abs(qa[-1] - qa_ref) < 2e-8
     assert abs(qb[-1] - qb_ref) < 2e-8
@@ -45,9 +49,9 @@ def test_pair_kernel_matches_scipy(family, params, x0, x1):
 
 def test_pair_identity_conserved():
     samples = np.linspace(-10.0, 10.0, 33)
-    qa, qb, _, _ = kernels.pair_evolution(kernels.FLRW_TANH, FLRW_PARAMS,
-                                          -10.0, samples, rtol=1e-10,
-                                          atol=1e-10, ident_cap=1e-8)
+    (qa,), (qb,), _, _ = kernels.pair_evolution(
+        kernels.FLRW_TANH, [FLRW_PARAMS], -10.0, samples, rtol=1e-10,
+        atol=1e-10, ident_cap=1e-8)
     drift = np.max(np.abs(np.abs(qa) ** 2 - np.abs(qb) ** 2 - 1.0))
     assert drift < 1e-10
 
@@ -55,13 +59,90 @@ def test_pair_identity_conserved():
 def test_identity_cap_triggers():
     samples = np.linspace(-10.0, 10.0, 9)
     with pytest.raises(IdentityDrift):
-        kernels.pair_evolution(kernels.FLRW_TANH, FLRW_PARAMS, -10.0, samples,
-                               rtol=1e-6, atol=1e-6, ident_cap=1e-15)
+        kernels.pair_evolution(kernels.FLRW_TANH, [FLRW_PARAMS], -10.0,
+                               samples, rtol=1e-6, atol=1e-6, ident_cap=1e-15)
 
 
 def test_sampling_grid_is_honored():
     samples = np.linspace(-10.0, 10.0, 101)
-    qa, qb, ph, _ = kernels.pair_evolution(kernels.FLRW_TANH, FLRW_PARAMS,
-                                           -10.0, samples)
+    (qa,), (qb,), (ph,), _ = kernels.pair_evolution(
+        kernels.FLRW_TANH, [FLRW_PARAMS], -10.0, samples)
     assert len(qa) == len(samples) == len(qb) == len(ph)
     assert qa[0] == 1.0 + 0j and qb[0] == 0.0 + 0j and ph[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# pairs batched as the rows of one solve
+
+# k = 0, 2 pi / 1000 and 1: the last row ends rounds before the others
+FLRW_ROWS = [[2.5, 1.5, 1.0, k, 0.1] for k in (0.0, 2.0 * np.pi / 1000.0, 1.0)]
+
+
+def solve_rows(params, samples):
+    """One solve of the pair rows, with each row's step and attempt counts.
+
+    The step hook sees every row's time after a round in which a row
+    stepped; each stage-1 evaluation sees every row's stage time, which
+    stays on the end time for the rows that ended.
+    """
+    rhs, y0 = kernels._pair_system(kernels.FLRW_TANH, params)
+    times, calls = [], []
+
+    def counted(x, y):
+        calls.append(np.atleast_1d(x).copy())
+        return rhs(x, y)
+
+    res = solve_dopri(counted, samples[0], samples[-1], y0, rtol=1e-10,
+                      atol=1e-10, t_eval=samples,
+                      step_hook=lambda x, y: times.append(
+                          np.atleast_1d(x).copy()))
+    steps = [np.unique(col[col != samples[0]]).size
+             for col in np.array(times).T]
+    # k[0] and the initial trial step, then six stages a round
+    attempts = np.count_nonzero(np.array(calls[2::6]) != samples[-1], axis=0)
+    return res, steps, attempts
+
+
+@pytest.mark.parametrize("n_samples", [2, 600])
+@pytest.mark.parametrize("x0,x1", [(-10.0, 10.0), (10.0, -10.0)])
+def test_batched_rows_take_their_solo_steps(x0, x1, n_samples):
+    samples = np.linspace(x0, x1, n_samples)
+    batch, steps, attempts = solve_rows(FLRW_ROWS, samples)
+    assert len(set(steps)) > 1           # the rows end at different rounds
+    for row, params in enumerate(FLRW_ROWS):
+        solo, (solo_steps,), (solo_attempts,) = solve_rows([params], samples)
+        assert steps[row] == solo_steps == solo.n_steps
+        assert attempts[row] == solo_attempts
+        assert attempts[row] - steps[row] == solo.n_rejected
+        assert 2 + 6 * attempts[row] == solo.n_rhs
+        got, ref = batch.y[:, row], solo.y
+        assert np.max(np.abs(got[:, :2] - ref[:, :2])) < 1e-14
+        # the phase grows to about 20 on the k = 1 row
+        assert np.all(np.abs(got[:, 2] - ref[:, 2])
+                      <= 1e-14 * np.maximum(1.0, np.abs(ref[:, 2])))
+    assert batch.n_steps == sum(steps)
+    assert batch.n_rhs == 2 * len(FLRW_ROWS) + 6 * int(np.sum(attempts))
+    assert batch.n_rejected == int(np.sum(attempts)) - sum(steps)
+
+
+def test_identity_drift_in_one_row_names_that_rows_x():
+    samples = np.linspace(-10.0, 10.0, 9)
+    # massless: b = 0 keeps Qa = 1 and Qb = 0 exactly, so no drift
+    calm = [2.5, 1.5, 1.0, 1.0, 0.0]
+    kwargs = dict(rtol=1e-6, atol=1e-6, ident_cap=1e-15)
+    with pytest.raises(IdentityDrift) as solo:
+        kernels.pair_evolution(kernels.FLRW_TANH, [FLRW_PARAMS], -10.0,
+                               samples, **kwargs)
+    with pytest.raises(IdentityDrift) as batch:
+        kernels.pair_evolution(kernels.FLRW_TANH, [calm, FLRW_PARAMS], -10.0,
+                               samples, **kwargs)
+    x_of = lambda e: re.search(r"at x=(\S+)", str(e.value)).group(1)
+    assert x_of(batch) == x_of(solo)
+
+
+def test_batched_fig2_solve_raises_no_warning():
+    rows = [[2.5, 1.5, 1.0, 2.0 * np.pi * n / 1000.0, 0.1] for n in range(6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernels.pair_evolution(kernels.FLRW_TANH, rows, -10.0,
+                               np.linspace(-10.0, 10.0, 600), ident_cap=1e-8)

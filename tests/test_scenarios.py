@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,26 @@ def test_time_grid_constant_scale_factor():
                      eta_span=(-9.0, 9.0))
     grid = flrw_time_grid(cfg)
     assert np.max(np.abs(grid.t - 2.0 * grid.eta)) < 1e-12
+
+
+def test_run_times_constant_scale_factor():
+    cfg = FlrwConfig(A=4.0, B=0.0, rho=1.0, m=0.1, L=10.0,
+                     eta_span=(-9.0, 9.0))
+    res = flrw_run(cfg, n_samples=50)
+    assert np.max(np.abs(res.t - 2.0 * res.eta)) < 1e-12
+
+
+@pytest.mark.parametrize("span", [(-10.0, 10.0), (1.0, 9.0)])
+def test_run_times_match_the_time_grid(span):
+    """t at the samples, anchored at t(eta = 0) = 0 when the span holds
+    eta = 0 and at the span's start otherwise, as on the grid."""
+    cfg = FlrwConfig(A=2.5, B=1.5, rho=1.0, m=0.1, L=1000.0, n_max=1,
+                     eta_span=span)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AsymptoteNotReached)
+        res = flrw_run(cfg)
+    grid = flrw_time_grid(cfg)
+    assert np.max(np.abs(res.t - grid.eta_to_t(res.eta))) < 1e-9
 
 
 def test_time_grid_derivative_and_asymptotic_slopes():
