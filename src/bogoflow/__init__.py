@@ -12,7 +12,7 @@ analytic oracles.
 from . import errors
 from .geometry import (BoundarySpec, Domain, SyncSpacetime,
                        diagonal_spacetime, flrw_torus, q_factor, rbar_factor,
-                       static_spacetime, volume_integral)
+                       static_spacetime)
 from .spectral import (ModeBasis, OperatorSpec, align_basis,
                        instantaneous_basis, orthonormality_residual,
                        regularize_zero_mode)
@@ -30,7 +30,7 @@ __all__ = [
     "errors",
     "BoundarySpec", "Domain", "SyncSpacetime",
     "diagonal_spacetime", "flrw_torus", "q_factor", "rbar_factor",
-    "static_spacetime", "volume_integral",
+    "static_spacetime",
     "ModeBasis", "OperatorSpec", "align_basis", "instantaneous_basis",
     "orthonormality_residual", "regularize_zero_mode",
     "BasisDerivatives", "CouplingMatrices", "basis_derivatives",

@@ -211,7 +211,6 @@ def _run_flrw(cfg, tol, n_modes, rng):
                             zip(labels, result.beta2_final.tolist())},
             "max_rel_mismatch": float(rel_miss),
         },
-        "backend": result.meta["backend"],
         # solver counts summed over the pairs, step-size range over them
         "diagnostics": {name: {key: res.meta[key]
                                for key in ("n_steps", "n_rejected", "n_rhs",

@@ -14,7 +14,7 @@ class SingularMetric(BogoflowError):
 
 
 class QuadratureFailure(BogoflowError):
-    """Adaptive quadrature did not converge within the order budget."""
+    """Quadrature did not converge within its node budget."""
 
 
 class NegativeEigenvalue(BogoflowError):
@@ -55,10 +55,6 @@ class MissingPerturbedModes(BogoflowError):
 
 class NonDecayingProfile(BogoflowError):
     """Asymptotic Fourier coefficients requested for a non-decaying profile."""
-
-
-class NonMonotonicGrid(BogoflowError):
-    """Cosmological time grid failed to be strictly monotone."""
 
 
 class WindowViolation(UserWarning):

@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, SingularMetric
-from .quadrature import adaptive_tensor_integral
 
 #: Relative step for central time differences of metric-derived scalars.
 FD_REL_STEP = 1e-5
@@ -246,14 +245,3 @@ def rbar_factor(st: SyncSpacetime, t: float, x) -> float:
     dq = (q_factor(st, t + dt, pts) - q_factor(st, t - dt, pts)) / (2 * dt)
     rbar = 2.0 * dq + q ** 2 + 0.25 * tr_sq
     return float(rbar[0]) if single else rbar
-
-
-def volume_integral(st: SyncSpacetime, t: float, f: Callable):
-    """Quadrature of ``f`` against the slice volume element sqrt(det h) dx.
-
-    ``f`` takes an (npts, dim) array of points and returns (npts,) values.
-    """
-    def integrand(pts):
-        return np.asarray(f(pts)) * st.sqrt_det_h(t, pts)
-
-    return adaptive_tensor_integral(integrand, st.domain.bounds)

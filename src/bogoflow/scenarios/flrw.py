@@ -1,31 +1,31 @@
 """1+1 cosmological particle creation on a torus with a tanh expansion law.
 
 The scale factor is a(eta) = sqrt(A + B tanh(rho eta)) in conformal time;
-coordinate time follows from dt = a d(eta) by cumulative quadrature since
-no closed form exists.  Each mode pair (n, -n) decouples into one small
-phase-stripped ODE system; the scenario kernel integrates all pairs of a
-run as the rows of one solve.  The analytic asymptotic pair-creation
-formula for this profile serves as the oracle for the plateau values.
+coordinate time t = int a d(eta) has an elementary antiderivative, and its
+inverse follows by Newton's method since dt/deta = a > 0.  Each mode pair
+(n, -n) decouples into one small phase-stripped ODE system; the scenario
+kernel integrates all pairs of a run as the rows of one solve.  The
+analytic asymptotic pair-creation formula for this profile serves as the
+oracle for the plateau values.
 """
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .. import kernels
 from ..coupling import DiagonalFamilyDriver
-from ..errors import AsymptoteNotReached, InvalidArgument, NonMonotonicGrid
+from ..errors import AsymptoteNotReached, InvalidArgument
 from ..evolution import evolve_Q
-from ..geometry import flrw_torus
+from ..geometry import Domain, diagonal_spacetime
 from ..kernels import _flrw_a2
-from ..quadrature import _leggauss
 from ..spectral import OperatorSpec
 
 #: tanh saturates to ~1e-7 at |rho eta| = 8; initial data further in is unsafe
 MIN_SATURATION = 8.0
+#: Newton converges in 2-4 steps; a bound keeps the loop finite regardless
+_NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -61,59 +61,55 @@ class FlrwConfig:
     def scale_factor_eta(self, eta):
         return np.sqrt(_flrw_a2(self.A, self.B, self.rho, np.asarray(eta))[0])
 
+    def _time_antiderivative(self, eta):
+        """T(eta) with dT/deta = a(eta), and a(eta).  With c+- = sqrt(A +- B)
+        and sp(y) = log(1 + e^y),
+        2 rho T = 2 c+ log(c+ + a) - 2 c- log(a + c-) - (c+ - c-) log(2|B|)
+                  + c+ sp(2 rho eta) - c- sp(-2 rho eta)."""
+        A, B, rho = self.A, self.B, self.rho
+        eta = np.asarray(eta, dtype=float)
+        a = self.scale_factor_eta(eta)
+        if B == 0 or rho == 0:
+            return a * eta, a
+        cp, cm = np.sqrt(A + B), np.sqrt(A - B)
+        y = 2.0 * rho * eta
+        tail = np.log1p(np.exp(-np.abs(y)))     # sp(+-y) = max(+-y, 0) + tail
+        return (2.0 * cp * np.log(cp + a) - 2.0 * cm * np.log(a + cm)
+                - (cp - cm) * np.log(2.0 * abs(B))
+                + cp * (np.maximum(y, 0.0) + tail)
+                - cm * (np.maximum(-y, 0.0) + tail)) / (2.0 * rho), a
+
+    def _t_anchor(self) -> float:
+        """eta where t = 0: eta = 0 if the span holds it, else its start."""
+        lo, hi = self.eta_span
+        return 0.0 if lo < 0.0 < hi else float(lo)
+
+    def eta_to_t(self, eta):
+        """Coordinate time t(eta) = int a d(eta) from the anchor eta."""
+        return (self._time_antiderivative(eta)[0]
+                - self._time_antiderivative(self._t_anchor())[0])
+
+    def t_to_eta(self, t: float) -> float:
+        """Conformal time at coordinate time ``t`` (a scalar), inverting
+        :meth:`eta_to_t` by Newton's method.  T is monotone and convex or
+        concave throughout, so Newton converges from any start."""
+        anchor = self._t_anchor()
+        target = float(t) + float(self._time_antiderivative(anchor)[0])
+        eta = anchor + float(t) / np.sqrt(self.A)
+        for _ in range(_NEWTON_MAX_ITER):
+            big_t, a = self._time_antiderivative(eta)
+            step = (float(big_t) - target) / float(a)
+            eta -= step
+            # quadratic convergence: what is left after such a step is
+            # below rounding
+            if abs(step) <= 1e-12 * (1.0 + abs(eta)):
+                break
+        return eta
+
     def saturated(self) -> bool:
         r = abs(self.rho)
         return (r * abs(self.eta_span[0]) >= MIN_SATURATION
                 and r * abs(self.eta_span[1]) >= MIN_SATURATION)
-
-
-@dataclass(eq=False)
-class FlrwTimeGrid:
-    """Dense eta <-> t map with t(eta = 0) = 0 (curves are translation-equivalent)."""
-
-    eta: np.ndarray
-    t: np.ndarray
-    _to_t: PchipInterpolator
-    _to_eta: PchipInterpolator
-    _a_eta: PchipInterpolator
-
-    def eta_to_t(self, eta):
-        return self._to_t(eta)
-
-    def t_to_eta(self, t):
-        return self._to_eta(t)
-
-    def a_of_t(self, t):
-        return self._a_eta(self._to_eta(t))
-
-
-def _eta_to_t(cfg: FlrwConfig, eta: np.ndarray) -> np.ndarray:
-    """t at increasing eta, from dt = a(eta) d(eta) by a 5-point Gauss rule
-    on each interval (exact to machine precision for this smooth profile),
-    anchored at t(eta = 0) = 0 when eta straddles 0, else at eta[0]."""
-    straddles = eta[0] < 0.0 < eta[-1]
-    knots = np.union1d(eta, 0.0) if straddles else eta
-    xg, wg = _leggauss(5)
-    half = 0.5 * np.diff(knots)
-    mid = knots[:-1] + half
-    nodes = mid[:, None] + half[:, None] * xg[None, :]
-    seg = np.sum(wg[None, :] * cfg.scale_factor_eta(nodes), axis=1) * half
-    t = np.concatenate(([0.0], np.cumsum(seg)))
-    if np.any(np.diff(t) <= 0):
-        raise NonMonotonicGrid("t(eta) failed to be strictly increasing")
-    if straddles:
-        t = t - t[np.searchsorted(knots, 0.0)]
-    return t[np.searchsorted(knots, eta)]
-
-
-def flrw_time_grid(cfg: FlrwConfig, n_points: int = 20001) -> FlrwTimeGrid:
-    """Dense eta <-> t grid (see :func:`_eta_to_t`) with monotone interpolation."""
-    eta = np.linspace(cfg.eta_span[0], cfg.eta_span[1], n_points)
-    t = _eta_to_t(cfg, eta)
-    return FlrwTimeGrid(eta=eta, t=t,
-                        _to_t=PchipInterpolator(eta, t),
-                        _to_eta=PchipInterpolator(t, eta),
-                        _a_eta=PchipInterpolator(eta, cfg.scale_factor_eta(eta)))
 
 
 def asymptotic_beta_squared(cfg: FlrwConfig, k: float) -> float:
@@ -188,9 +184,8 @@ def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
     oracle = np.array([asymptotic_beta_squared(cfg, cfg.k_n(n)) for n in labels])
 
     result = FlrwResult(config=cfg, labels=tuple(labels), eta=eta_samples,
-                        t=_eta_to_t(cfg, eta_samples), alpha=alpha,
+                        t=cfg.eta_to_t(eta_samples), alpha=alpha,
                         beta=beta, oracle_beta2=oracle)
-    result.meta["backend"] = kernels.backend_name
     result.meta.update(stats)
     result.meta["pair_identity_residual"] = result.pair_identity_residual()
 
@@ -230,19 +225,18 @@ def flrw_unconfined_limit(cfg: FlrwConfig, k: float,
     }
 
 
-def flrw_spacetime(cfg: FlrwConfig, grid: Optional[FlrwTimeGrid] = None):
-    """SyncSpacetime with a(t) from the eta <-> t grid (for the generic path)."""
-    grid = grid or flrw_time_grid(cfg)
+def flrw_spacetime(cfg: FlrwConfig):
+    """SyncSpacetime on the torus with h_xx = a(t)^2 (for the generic path):
+    a^2 and d(a^2)/dt = (d(a^2)/deta) / a straight from eta(t)."""
+    def scales(t):
+        return np.array([_flrw_a2(cfg.A, cfg.B, cfg.rho, cfg.t_to_eta(t))[0]])
 
-    def a_of_t(t):
-        return float(grid.a_of_t(t))
+    def scales_dt(t):
+        a2, da2 = _flrw_a2(cfg.A, cfg.B, cfg.rho, cfg.t_to_eta(t))
+        return np.array([da2 / np.sqrt(a2)])
 
-    def a_dot(t):
-        # da/dt = (da/deta) / a = d(a^2)/deta / (2 a^2)
-        a2, da2 = _flrw_a2(cfg.A, cfg.B, cfg.rho, float(grid.t_to_eta(t)))
-        return da2 / (2.0 * a2)
-
-    return flrw_torus(a_of_t, a_dot, length=cfg.L, mass=cfg.m)
+    return diagonal_spacetime(Domain((cfg.L,), (True,)), scales, scales_dt,
+                              mass=cfg.m)
 
 
 def flrw_generic_run(cfg: FlrwConfig, n_pairs: int, eta_window: tuple,
@@ -253,19 +247,18 @@ def flrw_generic_run(cfg: FlrwConfig, n_pairs: int, eta_window: tuple,
     with modes n in {-n_pairs..n_pairs} (0 included only for m > 0).
     Returns (labels, list of (t, BogoliubovMatrix of U blocks)).
     """
-    grid = flrw_time_grid(cfg)
-    st = flrw_spacetime(cfg, grid)
+    st = flrw_spacetime(cfg)
     op = OperatorSpec(boundary=st.boundary)
     ns = list(range(-n_pairs, n_pairs + 1))
     if cfg.m == 0:
         ns.remove(0)
     labels = [(n,) for n in ns]
     driver = DiagonalFamilyDriver(op, st, labels=labels)
-    t0 = float(grid.eta_to_t(eta_window[0]))
-    tf = float(grid.eta_to_t(eta_window[1]))
+    t0 = float(cfg.eta_to_t(eta_window[0]))
+    tf = float(cfg.eta_to_t(eta_window[1]))
     t_eval = None
     if t_eval_eta is not None:
-        t_eval = [float(grid.eta_to_t(e)) for e in t_eval_eta]
+        t_eval = [float(cfg.eta_to_t(e)) for e in t_eval_eta]
     out = evolve_Q(driver, t0, tf, tol=cfg.tol, t_eval=t_eval)
     pairs = out if isinstance(out, list) else [out]
     times = t_eval if t_eval is not None else [tf]

@@ -264,6 +264,16 @@ def test_flrw_record_diagnostics_count_steps_not_samples(tmp_path):
         assert 0 < counts["h_min"] < counts["h_max"] < 20.0
 
 
+def test_fig2_record_names_the_backend_once(tmp_path):
+    path = write_config(tmp_path, flrw_config(
+        flrw=dict(FLRW_BLOCK, n_max=5),
+        output={"path": "fig2", "format": "csv"}))
+    assert cli.run(path, output_dir=tmp_path) == 0
+    record = json.loads((tmp_path / "fig2.json").read_text())
+    assert record["kernel_backend"] == "python"
+    assert "backend" not in record
+
+
 GW_BLOCK = {"lengths": [1.0, 2.0, 1.0], "epsilon": 1e-5}
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from bogoflow import (BoundarySpec, Domain, SyncSpacetime, diagonal_spacetime,
-                      flrw_torus, q_factor, rbar_factor, static_spacetime,
-                      volume_integral)
+                      flrw_torus, q_factor, rbar_factor, static_spacetime)
 from bogoflow.errors import InvalidArgument, SingularMetric
 from bogoflow.spectral import OperatorSpec, instantaneous_basis
 
@@ -61,45 +60,19 @@ def test_gw_metric_factors_first_order():
         assert abs(rbar_factor(st, t, x3)) <= 1e4 * eps ** 2 + 1e-9
 
 
-def test_volume_integral_unit_torus():
-    st = flrw_torus(lambda t: 1.0, lambda t: 0.0, length=1.0, mass=1.0)
-    v = volume_integral(st, 0.0, lambda p: np.ones(len(p)))
-    assert abs(v - 1.0) <= 1e-12
-
-
-def test_volume_integral_sin_squared():
-    st = static_spacetime(Domain((1.0,), (False,)),
-                          boundary=BoundarySpec("dirichlet"))
-    v = volume_integral(st, 0.0, lambda p: np.sin(np.pi * p[:, 0]) ** 2)
-    assert abs(v - 0.5) <= 1e-12
-
-
 def test_volume_integral_mode_normalization(long_torus):
+    """Modes are normalised to 1/(2 omega) against the slice volume element
+    sqrt(det h) dx, here by a 64-point Gauss-Legendre rule on the torus."""
     op = OperatorSpec(boundary=long_torus.boundary)
     basis = instantaneous_basis(op, long_torus, 0.0, 3)
+    (lo, hi), = long_torus.domain.bounds
+    x, w = np.polynomial.legendre.leggauss(64)
+    pts = (lo + 0.5 * (hi - lo) * (x + 1.0))[:, None]
+    w = 0.5 * (hi - lo) * w * long_torus.sqrt_det_h(0.0, pts)
     for i, mode in enumerate(basis.modes):
-        v = volume_integral(long_torus, 0.0,
-                            lambda p: np.abs(mode.value(p)) ** 2)
+        v = np.sum(w * np.abs(mode.value(pts)) ** 2)
         expect = 1.0 / (2.0 * basis.omegas[i])
         assert abs(v - expect) <= 1e-10 * expect
-
-
-def test_volume_integral_linear_and_positive(rng):
-    st = flrw_torus(lambda t: 1.3, lambda t: 0.0, length=2.0, mass=1.0)
-    c = rng.normal(size=3)
-
-    def f(p):
-        return c[0] + c[1] * np.sin(np.pi * p[:, 0]) + c[2] * np.cos(np.pi * p[:, 0])
-
-    def g(p):
-        return np.cos(2 * np.pi * p[:, 0] / 2.0) ** 2
-
-    a, b = 0.7, -2.3
-    lhs = volume_integral(st, 0.0, lambda p: a * f(p) + b * g(p))
-    rhs = a * volume_integral(st, 0.0, f) + b * volume_integral(st, 0.0, g)
-    assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
-    pos = volume_integral(st, 0.0, lambda p: f(p) ** 2 + 0.1)
-    assert pos > 0
 
 
 def test_non_positive_metric_rejected():

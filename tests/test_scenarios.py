@@ -2,13 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bogoflow.errors import AsymptoteNotReached, InvalidArgument
 from bogoflow.evolution import identity_residual
+from bogoflow.kernels import _flrw_a2
 from bogoflow.perturbation import window_coefficients
 from bogoflow.scenarios import (FlrwConfig, GwCavityConfig,
                                 asymptotic_beta_squared, flrw_generic_run,
-                                flrw_run, flrw_time_grid,
+                                flrw_run, flrw_spacetime,
                                 flrw_unconfined_limit, gw_cavity_run,
                                 gw_delta_coupling, gw_nonperturbative_pair)
 
@@ -17,14 +19,20 @@ FIG2 = FlrwConfig(A=2.5, B=1.5, rho=1.0, m=0.1, L=1000.0, n_max=5,
 
 
 # ---------------------------------------------------------------------------
-# cosmology time grid
+# cosmology time map
+
+
+def quad_time(cfg, eta0, eta1):
+    """Independent reference for t(eta1) - t(eta0) = int a d(eta)."""
+    return quad(cfg.scale_factor_eta, eta0, eta1, epsabs=1e-13,
+                epsrel=1e-13)[0]
 
 
 def test_time_grid_constant_scale_factor():
     cfg = FlrwConfig(A=4.0, B=0.0, rho=1.0, m=0.1, L=10.0,
                      eta_span=(-9.0, 9.0))
-    grid = flrw_time_grid(cfg)
-    assert np.max(np.abs(grid.t - 2.0 * grid.eta)) < 1e-12
+    eta = np.linspace(-9.0, 9.0, 20001)
+    assert np.max(np.abs(cfg.eta_to_t(eta) - 2.0 * eta)) < 1e-12
 
 
 def test_run_times_constant_scale_factor():
@@ -37,34 +45,69 @@ def test_run_times_constant_scale_factor():
 @pytest.mark.parametrize("span", [(-10.0, 10.0), (1.0, 9.0)])
 def test_run_times_match_the_time_grid(span):
     """t at the samples, anchored at t(eta = 0) = 0 when the span holds
-    eta = 0 and at the span's start otherwise, as on the grid."""
+    eta = 0 and at the span's start otherwise, against quadrature of a."""
     cfg = FlrwConfig(A=2.5, B=1.5, rho=1.0, m=0.1, L=1000.0, n_max=1,
                      eta_span=span)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AsymptoteNotReached)
         res = flrw_run(cfg)
-    grid = flrw_time_grid(cfg)
-    assert np.max(np.abs(res.t - grid.eta_to_t(res.eta))) < 1e-9
+    anchor = 0.0 if span[0] < 0.0 < span[1] else span[0]
+    ref = np.array([quad_time(cfg, anchor, e) for e in res.eta])
+    assert np.max(np.abs(res.t - ref)) < 1e-12
 
 
 def test_time_grid_derivative_and_asymptotic_slopes():
-    grid = flrw_time_grid(FIG2)
-    # 4th-order midpoint differentiation of the exact grid values
-    t, eta = grid.t, grid.eta
+    eta = np.linspace(FIG2.eta_span[0], FIG2.eta_span[1], 20001)
+    t = FIG2.eta_to_t(eta)
+    # 4th-order midpoint differentiation of the exact values
     h = eta[1] - eta[0]
     mids = 0.5 * (eta[1:-2] + eta[2:-1])
     dt_deta = (27.0 * (t[2:-1] - t[1:-2]) - (t[3:] - t[:-3])) / (24.0 * h)
     assert np.max(np.abs(dt_deta - FIG2.scale_factor_eta(mids))) < 1e-8
     # slopes approach sqrt(A -+ B) in the far past/future
-    left = (grid.t[1] - grid.t[0]) / (grid.eta[1] - grid.eta[0])
-    right = (grid.t[-1] - grid.t[-2]) / (grid.eta[-1] - grid.eta[-2])
+    left = (t[1] - t[0]) / (eta[1] - eta[0])
+    right = (t[-1] - t[-2]) / (eta[-1] - eta[-2])
     assert abs(left - np.sqrt(FIG2.A - FIG2.B)) < 1e-6
     assert abs(right - np.sqrt(FIG2.A + FIG2.B)) < 1e-6
     # anchored at t(eta=0) = 0
-    assert abs(grid.eta_to_t(0.0)) < 1e-12
+    assert abs(FIG2.eta_to_t(0.0)) < 1e-12
     # inverse map round-trips
-    probe = np.linspace(grid.t[2], grid.t[-3], 7)
-    assert np.max(np.abs(grid.eta_to_t(grid.t_to_eta(probe)) - probe)) < 1e-9
+    probe = np.linspace(t[2], t[-3], 7)
+    back = np.array([FIG2.eta_to_t(FIG2.t_to_eta(p)) for p in probe])
+    assert np.max(np.abs(back - probe)) < 1e-9
+
+
+@pytest.mark.parametrize("A,B,rho", [
+    (2.5, -1.5, 1.0),        # contracting
+    (2.5, 1.5, -0.7),        # rho < 0
+    (2.5, 0.0, 1.0),         # static, B = 0
+    (2.5, 1.5, 0.0),         # static, rho = 0
+    (1.0, 0.99, 1.0),        # a_in = 0.1
+])
+def test_time_map_against_quadrature(A, B, rho):
+    cfg = FlrwConfig(A=A, B=B, rho=rho, m=0.1, L=10.0)
+    for eta in np.linspace(-10.0, 10.0, 21):
+        assert abs(cfg.eta_to_t(eta) - quad_time(cfg, 0.0, eta)) < 1e-12
+
+
+def test_time_map_round_trip_beyond_the_span():
+    """t in [-16, 30] reaches past t(eta_span) on both sides."""
+    assert FIG2.eta_to_t(FIG2.eta_span[0]) > -16.0
+    assert FIG2.eta_to_t(FIG2.eta_span[1]) < 30.0
+    for t in np.linspace(-16.0, 30.0, 93):
+        assert abs(FIG2.eta_to_t(FIG2.t_to_eta(t)) - t) < 1e-13
+
+
+def test_spacetime_scales_beyond_the_span():
+    """h = a^2 and dh/dt = (d(a^2)/deta) / a at eta = +-15, outside the
+    eta_span of FIG2."""
+    st = flrw_spacetime(FIG2)
+    for eta in (-15.0, 15.0):
+        t = quad_time(FIG2, 0.0, eta)
+        a2, da2 = _flrw_a2(FIG2.A, FIG2.B, FIG2.rho, eta)
+        (s,), (ds,) = st.diag_scales(t), st.diag_scales_dt(t)
+        assert abs(s - a2) <= 1e-12 * a2
+        assert abs(ds - da2 / np.sqrt(a2)) <= 1e-12 * abs(da2 / np.sqrt(a2))
 
 
 def test_config_validation():

@@ -351,13 +351,15 @@ def test_requested_too_many_modes(long_torus):
 
 
 def test_import_loads_no_sparse_or_interpolate():
-    """Only the periodic FD solve needs scipy.sparse and only the flrw
-    scenario needs scipy.interpolate, so a bare import loads neither."""
+    """Only the periodic FD solve needs scipy.sparse and nothing needs
+    scipy.interpolate, so importing the package, its scenarios and its
+    command line loads neither."""
     root = os.path.dirname(os.path.dirname(bogoflow.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p)
-    code = ("import sys, bogoflow; print(' '.join(m for m in sys.modules "
+    code = ("import sys, bogoflow, bogoflow.scenarios, bogoflow.cli; "
+            "print(' '.join(m for m in sys.modules "
             "if m.startswith(('scipy.sparse', 'scipy.interpolate'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
