@@ -21,6 +21,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy defers it; load it here, not in a run
 
 from . import __version__, kernels
 from .errors import (BogoflowError, IdentityDrift, InvalidArgument,
@@ -30,6 +31,8 @@ from .perturbation import window_series
 from .scenarios import (FlrwConfig, GwCavityConfig, flrw_run, gw_cavity_run)
 
 _SCENARIOS = ("flrw", "gw_cavity", "custom")
+#: the solver counts a record's ``diagnostics`` copies from a run's meta
+_SOLVER_COUNTS = ("n_steps", "n_rejected", "n_rhs", "h_min", "h_max")
 
 
 def canonical_json(obj) -> str:
@@ -212,9 +215,7 @@ def _run_flrw(cfg, tol, n_modes, rng):
             "max_rel_mismatch": float(rel_miss),
         },
         # solver counts summed over the pairs, step-size range over them
-        "diagnostics": {name: {key: res.meta[key]
-                               for key in ("n_steps", "n_rejected", "n_rhs",
-                                           "h_min", "h_max")}
+        "diagnostics": {name: {key: res.meta[key] for key in _SOLVER_COUNTS}
                         for name, res in (("run", result),
                                           ("convergence_rerun", rerun))},
     }
@@ -284,6 +285,8 @@ def _run_custom(cfg, tol, n_modes, rng):
         "n_modes": {"requested": n, "used": driver.n_modes},
         "identity_residuals": {"final": identity_residual(final_q)},
         "convergence": None,
+        "diagnostics": {"run": {key: final_q.meta[key]
+                                for key in _SOLVER_COUNTS}},
     }
     return columns, record, None
 
@@ -329,10 +332,9 @@ def run(config_path, output_dir=None, tol=None, n_modes=None) -> int:
         csv_path = stem.with_suffix(".csv")
         with open(csv_path, "w") as fh:
             fh.write(",".join(name for name, _ in columns) + "\n")
-            rows = len(columns[0][1])
-            for r in range(rows):
-                fh.write(",".join(_fmt(float(col[r])) for _, col in columns)
-                         + "\n")
+            cells = [map(_fmt, np.asarray(col, dtype=float).tolist())
+                     for _, col in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
         record["series_file"] = csv_path.name
     elif columns:
         record["series"] = {name: [float(v) for v in col]
@@ -437,7 +439,7 @@ def _report(lines):
     print(f"{len(lines) - n_fail}/{len(lines)} checks passed")
 
 
-def main(argv=None) -> int:
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bogoflow",
         description="Bogoliubov transformations of confined fields on "
@@ -455,8 +457,16 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="dry-run validation report")
     p_val.add_argument("config")
+    return parser
 
-    args = parser.parse_args(argv)
+
+#: built once, at import, so that a call pays neither for building it nor
+#: for the modules argparse loads on first use
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     if args.command == "run":
         return run(args.config, args.output_dir, args.tol, args.n_modes)
     return validate(args.config)

@@ -54,11 +54,10 @@ class BasisDerivatives:
     dt: float
 
 
-def _diagonal_drift(st: SyncSpacetime, t: float, kvecs: np.ndarray,
-                   w: np.ndarray):
+def _diagonal_drift(st: SyncSpacetime, t: float, s: np.ndarray,
+                    kvecs: np.ndarray, w: np.ndarray):
     """dw/dt = -(k^2 . ds/s^2)/(2w) and q = (1/2) sum ds/s of a diagonal
-    metric h = diag(s(t))."""
-    s = np.asarray(st.diag_scales(t), dtype=float)
+    metric h = diag(s(t)); ``s`` is ``st.diag_scales(t)`` as an array."""
     ds = np.asarray(st.diag_scales_dt(t), dtype=float)
     dw = -0.5 * (kvecs ** 2 @ (ds / s ** 2)) / w
     return dw, 0.5 * float(np.sum(ds / s))
@@ -225,7 +224,8 @@ class InstantaneousFamily:
         # match the reference products carrying the same labels
         kvecs = np.array([m.wavenumbers for m in self.reference.modes])
         w = basis.omegas
-        dw, qv = _diagonal_drift(self.st, basis.t, kvecs, w)
+        s = np.asarray(self.st.diag_scales(basis.t), dtype=float)
+        dw, qv = _diagonal_drift(self.st, basis.t, s, kvecs, w)
         dmodes = tuple(m.scaled(-0.5 * (qv + dw[i] / w[i]))
                        for i, m in enumerate(basis.modes))
         return BasisDerivatives(labels=basis.labels, dmodes_dt=dmodes,
@@ -293,14 +293,19 @@ class DiagonalFamilyDriver:
                                       st.domain.sample_points(1))[0])
         self.n_modes = n_modes
 
-    def omegas(self, t: float) -> np.ndarray:
-        s = np.asarray(self.st.diag_scales(t), dtype=float)
+    def _omegas(self, s: np.ndarray) -> np.ndarray:
         return np.sqrt(self.kvecs ** 2 @ (1.0 / s) + self.pot)
 
+    def omegas(self, t: float) -> np.ndarray:
+        return self._omegas(np.asarray(self.st.diag_scales(t), dtype=float))
+
     def __call__(self, t: float):
+        # one diag_scales per call: on flrw_spacetime each is a Newton
+        # inversion t -> eta
         st = self.st
-        w = self.omegas(t)
-        dw, qv = _diagonal_drift(st, t, self.kvecs, w)
+        s = np.asarray(st.diag_scales(t), dtype=float)
+        w = self._omegas(s)
+        dw, qv = _diagonal_drift(st, t, s, self.kvecs, w)
         n = self.n_modes
         ahat = np.zeros((n, n), dtype=complex)
         bhat = np.zeros((n, n), dtype=complex)

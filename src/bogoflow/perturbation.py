@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import dawsn, wofz
 
 from .errors import (InvalidArgument, MissingPerturbedModes,
                      NonDecayingProfile, QuadratureFailure, WindowViolation)
@@ -320,6 +319,7 @@ def _scaled_erf(s, a):
     f(-s, a) = -conj f(s, a) and f(s, -a) = conj f(s, a).  ``s`` and ``a``
     broadcast against each other.
     """
+    from scipy.special import dawsn, wofz
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     s_abs, a_abs = np.abs(s), np.abs(a)

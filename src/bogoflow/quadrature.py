@@ -10,6 +10,7 @@ dense O(n^3) eigensolve.
 from functools import lru_cache
 
 import numpy as np
+import numpy.polynomial.legendre  # noqa: F401  numpy defers it; load it here
 
 #: points of the Gauss-Legendre rule on each panel of ``panel_rule``
 _PANEL_ORDER = 32

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DegeneracyMismatch, InvalidArgument, NegativeEigenvalue,
                      ZeroMode)
@@ -590,7 +589,8 @@ def _fd_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     else:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
+        from scipy.linalg import eigh_tridiagonal
+        vals, vecs = eigh_tridiagonal(
             main, off, select="i", select_range=(0, n_modes - 1))
 
     scale = max(abs(vals[-1]), 1.0)

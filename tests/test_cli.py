@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bogoflow
 from bogoflow import cli
 from bogoflow.errors import StepFailure
 
@@ -216,6 +220,71 @@ def test_custom_scenario_runs(tmp_path):
     assert cli.run(path, output_dir=tmp_path) == 0
     record = json.loads((tmp_path / "cust.json").read_text())
     assert record["identity_residuals"]["final"] < 1e-7
+
+
+def test_custom_record_diagnostics_are_the_solver_counts(tmp_path):
+    """The custom record carries evolve_Q's step counts, which do not
+    depend on the output samples."""
+    from bogoflow.evolution import evolve_Q
+
+    path = write_config(tmp_path, custom_config())
+    assert cli.run(path, output_dir=tmp_path) == 0
+    run = json.loads((tmp_path / "cust.json").read_text())["diagnostics"]["run"]
+    block = custom_config()["custom"]
+    t0, tf, tol, _ = cli._custom_times(block)
+    _, driver = cli._custom_driver(block, block["n_modes"])
+    meta = evolve_Q(driver, t0, tf, tol=tol)[0].meta
+    assert run == {key: meta[key] for key in run}
+    assert set(run) == {"n_steps", "n_rejected", "n_rhs", "h_min", "h_max"}
+    assert run["n_rhs"] == 2 + 6 * (run["n_steps"] + run["n_rejected"])
+    assert 0 < run["h_min"] <= run["h_max"] <= tf - t0
+
+
+FIRST_RUN = """
+import json, math, pathlib, sys
+from bogoflow import cli, perturbation, scenarios
+
+out = pathlib.Path(sys.argv[1])
+w0 = math.pi * math.sqrt(2.25)               # (1,1,1) mode of a 1 x 2 x 1 box
+tau = 25.0 / (2.0 * w0) * 2.0 * math.pi
+dc = scenarios.gw_delta_coupling(scenarios.GwCavityConfig(
+    lengths=(1.0, 2.0, 1.0), epsilon=1e-5, tau=tau,
+    n_modes_per_axis=(2, 2, 2)))
+configs = {
+    "fig2": {"scenario": "flrw",
+             "flrw": {"A": 2.5, "B": 1.5, "rho": 1.0, "m": 0.1, "L": 1000.0,
+                      "n_max": 5, "eta_span": [-10, 10], "tol": 1e-10},
+             "tolerances": {"oracle_rtol": 0.01},
+             "output": {"path": "fig2", "format": "csv"}, "seed": 7},
+    "gw": {"scenario": "gw_cavity",
+           "gw_cavity": {"lengths": [1.0, 2.0, 1.0], "epsilon": 1e-5,
+                         "n_modes_per_axis": [3, 3, 3], "tol": 1e-10},
+           "output": {"path": "gw", "format": "csv"}, "seed": 1},
+}
+for name, cfg in configs.items():
+    (out / f"{name}_cfg.json").write_text(json.dumps(cfg))
+before = set(sys.modules)
+for name in configs:
+    assert cli.main(["run", str(out / f"{name}_cfg.json"),
+                     "--output-dir", str(out)]) == 0
+perturbation.window_coefficients(dc, dc.basis, -5 * tau, 5 * tau,
+                                 method="quadrature")
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_first_run_imports_no_module(tmp_path):
+    """Every module a fig2 run, a gw_cavity run and a numeric Gaussian
+    window use is loaded at import, so the first run of each pays no
+    import: the modules loaded before it are all it uses."""
+    root = os.path.dirname(os.path.dirname(bogoflow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", FIRST_RUN, str(tmp_path)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.splitlines()[-1].strip() == ""
 
 
 def test_custom_torus_mode_count_rounds_up_to_closed_shell(tmp_path):

@@ -179,6 +179,24 @@ def test_diagonal_driver_matches_quadrature_coupling():
     assert np.max(np.abs(w - fam(t).omegas)) < 1e-12
 
 
+def test_diagonal_driver_evaluates_scales_once_per_call():
+    """On flrw_spacetime each diag_scales call is a Newton inversion
+    t -> eta, so a driver call makes one."""
+    calls = []
+
+    def scales(t):
+        calls.append(t)
+        return np.array([1.0 + 0.1 * np.sin(t)])
+
+    st = diagonal_spacetime(Domain((1.0,), (True,)), scales,
+                            lambda t: np.array([0.1 * np.cos(t)]), mass=1.0)
+    drv = DiagonalFamilyDriver(make_operator(st), st, 5)
+    calls.clear()
+    for t in (0.0, 0.4, 1.3):
+        drv(t)
+    assert calls == [0.0, 0.4, 1.3]
+
+
 def test_quadrature_driver_plumbing():
     from bogoflow.coupling import quadrature_driver
     st, a, adot = tanh_torus()
