@@ -19,7 +19,7 @@ signal inconsistent derivatives or misaligned bases and are raised rather
 than repaired.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -99,7 +99,7 @@ def _fd_derivatives(op: OperatorSpec, basis: ModeBasis) -> BasisDerivatives:
     dw = np.real(np.diagonal(G)) / (2.0 * w)
     # Phi_n' = sum_m c_mn sqrt(w_m / w_n) Phi_m - dw_n / (2 w_n) Phi_n
     dvals = vals @ (c * np.sqrt(w[:, None] / w) - np.diag(dw / (2.0 * w)))
-    dmodes = tuple(replace(m, values=dvals[:, i])
+    dmodes = tuple(GridMode(m.label, m.x, dvals[:, i], m.periodic)
                    for i, m in enumerate(basis.modes))
     return BasisDerivatives(labels=basis.labels, dmodes_dt=dmodes,
                             domega_dt=dw, dt=0.0)

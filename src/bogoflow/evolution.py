@@ -97,6 +97,29 @@ def _unpack(sample):
     return np.asarray(omegas, dtype=float), ahat, bhat
 
 
+class LastCall:
+    """``fn(t)``, evaluated once per distinct time in a row of calls.
+
+    A DOPRI5 step evaluates its last two stages at the same t + h, and a
+    solve's first right-hand side repeats the time the set-up asked for;
+    both reuse the value of the call before.  ``calls`` counts the
+    evaluations of ``fn``.
+    """
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.calls = 0
+        self._last = (None, None)
+
+    def __call__(self, t):
+        last_t, value = self._last
+        if last_t is None or last_t != t:
+            value = self.fn(t)
+            self._last = (t, value)
+            self.calls += 1
+        return value
+
+
 def static_driver(omegas) -> Callable:
     """Driver of a static slice: K = 0, constant frequencies."""
     w = np.asarray(omegas, dtype=float)
@@ -120,20 +143,21 @@ def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
              t_eval: Optional[Sequence[float]] = None):
     """Integrate dU/dt = [i Omega + K] U with U(t0, t0) = I.
 
-    Returns the final :class:`BogoliubovMatrix` (with the identity residual
-    and step counts in ``meta``); with ``t_eval`` a list of matrices at the
-    sample times is returned instead.
+    Returns the final :class:`BogoliubovMatrix` (with the identity residual,
+    the step counts and ``driver_calls``, the driver's evaluations, in
+    ``meta``); with ``t_eval`` a list of matrices at the sample times is
+    returned instead.  The driver runs once per distinct time.
     """
     if tf == t0:
         raise InvalidArgument("tf must differ from t0")
-    w0, a0, b0 = _unpack(driver(t0))
-    n = len(w0)
+    drive = LastCall(lambda t: _unpack(driver(t)))
+    n = len(drive(float(t0))[0])
 
     def blocks(y):
         return y[:n * n].reshape(n, n), y[n * n:].reshape(n, n)
 
     def rhs(t, y):
-        w, ah, bh = _unpack(driver(t))
+        w, ah, bh = drive(t)
         A, B = blocks(y)
         iw = 1j * w[:, None]
         dA = iw * A + ah @ A + bh @ np.conj(B)
@@ -149,7 +173,7 @@ def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     def to_matrix(y):
         A, B = blocks(y)
         m = BogoliubovMatrix(A.copy(), B.copy())
-        m.meta.update(res.stats(), tol=tol,
+        m.meta.update(res.stats(), driver_calls=drive.calls, tol=tol,
                       identity_residual=identity_residual(m))
         return m
 
@@ -165,19 +189,19 @@ def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     The diagonal log-phase p_n = int [i w_n + ahat_nn] dt is carried as
     extra state so U = Theta Q is recoverable exactly.  Returns
     (BogoliubovMatrix of Q blocks, PhaseAccumulator), or lists of both when
-    ``t_eval`` is given.
+    ``t_eval`` is given; ``meta`` holds what :func:`evolve_U` puts there.
     """
     if tf == t0:
         raise InvalidArgument("tf must differ from t0")
-    w0, a0, b0 = _unpack(driver(t0))
-    n = len(w0)
+    drive = LastCall(lambda t: _unpack(driver(t)))
+    n = len(drive(float(t0))[0])
     nn = n * n
 
     def blocks(y):
         return y[:nn].reshape(n, n), y[nn:2 * nn].reshape(n, n)
 
     def rhs(t, y):
-        w, ah, bh = _unpack(driver(t))
+        w, ah, bh = drive(t)
         Qa, Qb = blocks(y)
         p = y[2 * nn:]
         adiag = np.diagonal(ah)
@@ -199,7 +223,7 @@ def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     def to_pair(y):
         Qa, Qb = blocks(y)
         q = BogoliubovMatrix(Qa.copy(), Qb.copy())
-        q.meta.update(res.stats(), tol=tol,
+        q.meta.update(res.stats(), driver_calls=drive.calls, tol=tol,
                       identity_residual=identity_residual(q))
         return q, PhaseAccumulator(y[2 * nn:].copy())
 

@@ -17,7 +17,7 @@ import numpy as np
 from .. import kernels
 from ..coupling import DiagonalFamilyDriver
 from ..errors import AsymptoteNotReached, InvalidArgument
-from ..evolution import evolve_Q
+from ..evolution import LastCall, evolve_Q
 from ..geometry import Domain, diagonal_spacetime
 from ..kernels import _flrw_a2
 from ..spectral import OperatorSpec
@@ -227,12 +227,16 @@ def flrw_unconfined_limit(cfg: FlrwConfig, k: float,
 
 def flrw_spacetime(cfg: FlrwConfig):
     """SyncSpacetime on the torus with h_xx = a(t)^2 (for the generic path):
-    a^2 and d(a^2)/dt = (d(a^2)/deta) / a straight from eta(t)."""
+    a^2 and d(a^2)/dt = (d(a^2)/deta) / a straight from eta(t).  A driver
+    asks for both at one t, which costs one Newton inversion t -> eta."""
+    a2_at = LastCall(lambda t: _flrw_a2(cfg.A, cfg.B, cfg.rho,
+                                        cfg.t_to_eta(t)))
+
     def scales(t):
-        return np.array([_flrw_a2(cfg.A, cfg.B, cfg.rho, cfg.t_to_eta(t))[0]])
+        return np.array([a2_at(t)[0]])
 
     def scales_dt(t):
-        a2, da2 = _flrw_a2(cfg.A, cfg.B, cfg.rho, cfg.t_to_eta(t))
+        a2, da2 = a2_at(t)
         return np.array([da2 / np.sqrt(a2)])
 
     return diagonal_spacetime(Domain((cfg.L,), (True,)), scales, scales_dt,

@@ -15,6 +15,7 @@ product sum M a b of the FD eigenproblem K Phi = omega^2 M Phi on the
 modes' own grid, so FD bases are orthonormal to rounding.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
@@ -173,7 +174,7 @@ class GridMode:
     periodic: bool = False
 
     def scaled(self, c):
-        return replace(self, values=self.values * c)
+        return GridMode(self.label, self.x, self.values * c, self.periodic)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +203,17 @@ class SliceContext:
 
     Separable modes integrate exactly, or on composite Gauss-Legendre panels
     under a callable weight (1D); grid modes use the FD mass matrix M of
-    their own grid.
+    their own grid.  The context keeps M, and M times each callable weight
+    it was given, for the last grid it integrated on, so every Gram on that
+    grid evaluates the metric and the weight once.
     """
 
     def __init__(self, spacetime: SyncSpacetime, t: float):
         self.spacetime = spacetime
         self.t = t
+        # (x, periodic, M, {id(weight): (weight, M * weight(x))}) of the
+        # last grid
+        self._grid_cache = None
 
     def sqrt_det(self) -> float:
         st = self.spacetime
@@ -229,7 +235,7 @@ class SliceContext:
             if n_grid != len(modes):
                 raise InvalidArgument(
                     "a Gram cannot mix grid and separable modes")
-            return self._gram_fd(modes_a, modes_b, conj, weight)
+            return self._gram_fd(modes_a, modes_b, modes, conj, weight)
         if st.diag_scales is not None and (weight is None or np.isscalar(weight)):
             return self._gram_separable(modes_a, modes_b, conj,
                                         1.0 if weight is None else complex(weight))
@@ -276,24 +282,40 @@ class SliceContext:
         pts = x[:, None]
         va = np.array([m.value(pts) for m in modes_a])
         vb = np.array([m.value(pts) for m in modes_b])
-        return self._weighted_products(va, vb, w, pts, conj, weight)
+        w = w * self.spacetime.sqrt_det_h(self.t, pts)
+        if weight is not None:
+            w = w * (weight(pts) if callable(weight) else weight)
+        return (va * w) @ (np.conj(vb) if conj else vb).T
 
-    def _gram_fd(self, modes_a, modes_b, conj, weight):
-        x, periodic = modes_a[0].x, modes_a[0].periodic
-        for m in list(modes_a) + list(modes_b):
-            if m.periodic != periodic or not np.array_equal(m.x, x):
-                raise InvalidArgument("grid modes live on different grids")
+    def _grid_weights(self, modes):
+        """(x, periodic, M, weighted) of the one grid all ``modes`` live on.
+        Each distinct grid array among them is compared once, and the
+        cached M is reused when its grid is one of them or equal."""
+        x, periodic = modes[0].x, modes[0].periodic
+        grids = {id(m.x): m.x for m in modes}
+        if any(m.periodic != periodic for m in modes) or not all(
+                g is x or np.array_equal(g, x) for g in grids.values()):
+            raise InvalidArgument("grid modes live on different grids")
+        grid = self._grid_cache
+        if grid is None or grid[1] != periodic or not (
+                id(grid[0]) in grids or np.array_equal(grid[0], x)):
+            lump = _trapezoid_lump(len(x), x[1] - x[0], periodic)
+            mass = lump * self.spacetime.sqrt_det_h(self.t, x[:, None])
+            grid = self._grid_cache = (x, periodic, mass, {})
+        return grid
+
+    def _gram_fd(self, modes_a, modes_b, modes, conj, weight):
+        x, _, w, weighted = self._grid_weights(modes)
+        if callable(weight):
+            # keyed by id; holding the weight keeps its id from being reused
+            if id(weight) not in weighted:
+                weighted[id(weight)] = (weight, w * weight(x[:, None]))
+            w = weighted[id(weight)][1]
+        elif weight is not None:
+            w = w * weight
         va = np.array([m.values for m in modes_a])
         vb = np.array([m.values for m in modes_b])
-        lump = _trapezoid_lump(len(x), x[1] - x[0], periodic)
-        return self._weighted_products(va, vb, lump, x[:, None], conj, weight)
-
-    def _weighted_products(self, va, vb, w, pts, conj, weight):
-        """sum_p w_p sqrt(det h)(x_p) weight(x_p) va[i, p] (vb[j, p] or conj)."""
-        wfull = w * self.spacetime.sqrt_det_h(self.t, pts)
-        if weight is not None:
-            wfull = wfull * (weight(pts) if callable(weight) else weight)
-        return (va * wfull) @ (np.conj(vb) if conj else vb).T
+        return (va * w) @ (np.conj(vb) if conj else vb).T
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +345,10 @@ class ModeBasis:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    @property
+    @functools.cached_property
     def context(self) -> SliceContext:
+        """The slice's :class:`SliceContext`, one per basis, so its Grams
+        share the cached weights."""
         return SliceContext(self.spacetime, self.t)
 
     def gram(self, conj=True, weight=None):
@@ -600,27 +624,28 @@ def _fd_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
         raise ZeroMode(f"omega^2 = {vals[0]:.3e}; consider a mass shift")
 
     omegas = np.sqrt(vals)
-    # sum mass |phi|^2 = 1 -> rescale to 1/(2w); Dirichlet modes carry
-    # their zero end nodes so every mode lives on the whole grid
-    phis = vecs / rootm[:, None] / np.sqrt(2.0 * omegas)
+    # sum mass |phi|^2 = 1 -> rescale to 1/(2w); one row per mode
+    phis = (vecs / rootm[:, None] / np.sqrt(2.0 * omegas)).T
+    # the first near-maximal node of each mode is positive: on a
+    # mirror-symmetric slice the maxima of opposite lobes agree to rounding,
+    # so the plain argmax would let rounding pick the sign
+    mag = np.abs(phis)
+    jsign = np.argmax(mag >= (1.0 - _SIGN_TIE_RTOL) * mag.max(axis=1)[:, None],
+                      axis=1)
+    sign = np.where(phis[np.arange(n_modes), jsign] < 0, -1.0, 1.0)
+    phis = phis * sign[:, None]
     if op.boundary.kind == "dirichlet":
+        # the zero end nodes, so every mode lives on the whole grid
         x = np.concatenate(([0.0], x, [st.domain.lengths[0]]))
-        phis = np.pad(phis, ((1, 1), (0, 0)))
-    modes, labels = [], []
-    for i in range(n_modes):
-        phi = phis[:, i]
-        # the first near-maximal node is positive: on a mirror-symmetric
-        # slice the maxima of opposite lobes agree to rounding, so the
-        # plain argmax would let rounding pick the sign
-        mag = np.abs(phi)
-        jsign = int(np.argmax(mag >= (1.0 - _SIGN_TIE_RTOL) * mag.max()))
-        if phi[jsign] < 0:
-            phi = -phi
-        label = (i,)
-        modes.append(GridMode(label, x, phi.astype(complex), periodic=periodic))
-        labels.append(label)
-    return ModeBasis(t=t, omegas=omegas, modes=tuple(modes),
-                     labels=tuple(labels), spacetime=st)
+        values = np.zeros((n_modes, n + 2), dtype=complex)
+        values[:, 1:-1] = phis
+    else:
+        values = phis.astype(complex, order="C")
+    labels = tuple((i,) for i in range(n_modes))
+    modes = tuple(GridMode(label, x, v, periodic)
+                  for label, v in zip(labels, values))
+    return ModeBasis(t=t, omegas=omegas, modes=modes, labels=labels,
+                     spacetime=st)
 
 
 def instantaneous_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
@@ -662,7 +687,7 @@ def _combine(label, coef_modes):
     if isinstance(first, SeparableMode):
         return combine_separable(label, coef_modes)
     vals = sum(c * m.values for c, m in coef_modes)
-    return replace(first, label=label, values=vals)
+    return GridMode(label, first.x, vals, first.periodic)
 
 
 def align_basis(prev: ModeBasis, next_basis: ModeBasis) -> ModeBasis:
@@ -671,7 +696,8 @@ def align_basis(prev: ModeBasis, next_basis: ModeBasis) -> ModeBasis:
     Within each degenerate eigenspace the previous modes are projected onto
     the new eigenspace and re-orthogonalized in label order; single modes
     only receive a global phase maximizing the real overlap.  Both read
-    one overlap Gram of all previous against all new modes.
+    one overlap Gram of all previous against all new modes.  The aligned
+    basis shares the slice context of ``next_basis``.
     """
     if set(prev.labels) != set(next_basis.labels):
         raise DegeneracyMismatch("label sets differ between slices")
@@ -701,35 +727,36 @@ def align_basis(prev: ModeBasis, next_basis: ModeBasis) -> ModeBasis:
             aligned[prev_labels[0]] = (next_modes[0].scaled(phase), omega)
         else:
             # project previous modes on the new eigenspace, then Gram-Schmidt
-            # in label order; inner products in L2(dV) of the new slice
+            # in label order, on coefficient vectors over the new modes: with
+            # G their Gram, <sum_i a_i N_i, sum_j b_j N_j> = a G b^H in
+            # L2(dV) of the new slice
             overlap = overlaps[np.ix_(g, next_idx)]
             gram_next = ctx.gram(next_modes, next_modes, conj=True)
             coefs = np.linalg.solve(gram_next.T, overlap.T).T  # rows: targets
-            new_modes = []
-            for r, lab in enumerate(prev_labels):
-                vec = coefs[r].astype(complex)
-                cand = _combine(lab, list(zip(vec, next_modes)))
-                for done in new_modes:
-                    ip = ctx.gram([cand], [done], conj=True)[0, 0]
-                    nrm = ctx.gram([done], [done], conj=True)[0, 0]
-                    cand = _combine(lab, [(1.0, cand), (-ip / nrm, done)])
-                nrm = ctx.gram([cand], [cand], conj=True)[0, 0].real
+            done = []
+            for lab, vec in zip(prev_labels, coefs.astype(complex)):
+                for d in done:
+                    vec = vec - (vec @ gram_next @ d.conj()) / (
+                        d @ gram_next @ d.conj()) * d
+                nrm = (vec @ gram_next @ vec.conj()).real
                 if nrm <= 0:
                     raise DegeneracyMismatch(
                         f"projection collapsed for label {lab}")
-                cand = cand.scaled(1.0 / np.sqrt(2.0 * omega * nrm))
-                new_modes.append(cand)
-            for lab, m in zip(prev_labels, new_modes):
-                aligned[lab] = (m, omega)
+                vec = vec / np.sqrt(2.0 * omega * nrm)
+                done.append(vec)
+                aligned[lab] = (_combine(lab, list(zip(vec, next_modes))),
+                                omega)
 
     modes, omegas = [], []
     for lab in prev.labels:
         m, om = aligned[lab]
         modes.append(m)
         omegas.append(om)
-    return ModeBasis(t=next_basis.t, omegas=np.array(omegas),
-                     modes=tuple(modes), labels=prev.labels,
-                     spacetime=next_basis.spacetime)
+    aligned = ModeBasis(t=next_basis.t, omegas=np.array(omegas),
+                        modes=tuple(modes), labels=prev.labels,
+                        spacetime=next_basis.spacetime)
+    aligned.__dict__["context"] = ctx      # the same slice: share its cache
+    return aligned
 
 
 def orthonormality_residual(basis: ModeBasis) -> float:

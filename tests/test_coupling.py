@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,28 @@ def test_driver_solves_each_slice_once():
     fd = CountingFamily(InstantaneousFamily(make_operator(fd_st), fd_st, 4))
     quadrature_driver(fd_st, fd)(t)
     assert fd.times == [t]
+
+
+def test_stencil_driver_reads_the_metric_once_per_slice_and_use():
+    """One stencil driver call solves three slices.  Each reads h twice to
+    assemble its bands (cell midpoints, nodes) and once for the mass
+    weights that all of its Grams share; the q weight of the couplings
+    reads it once more."""
+    from bogoflow.coupling import quadrature_driver
+    base = probe_spacetime()
+    times = []
+
+    def h(t, pts):
+        times.append(t)
+        return base.h(t, pts)
+
+    st = replace(base, h=h)
+    fam = InstantaneousFamily(make_operator(st), st, 4)
+    t, dt = 0.3, 3e-5
+    times.clear()
+    quadrature_driver(st, fam, dt=dt)(t)
+    assert set(times) == {t - dt, t, t + dt}
+    assert len(times) <= 3 * (2 + 1) + 1
 
 
 def test_family_without_closed_form_needs_dt():

@@ -190,8 +190,10 @@ def test_solver_counts_rhs_calls():
 
 
 def test_evolution_calls_driver_at_t0_and_in_rhs_only(rng):
-    """Each driver call is one at t0 plus one per RHS evaluation; the output
-    samples cost none, and meta carries the stepper's counts."""
+    """The driver runs at t0 and at the RHS times only, once per distinct
+    time: a DOPRI5 step's last two stages share t + h, and the first RHS
+    call repeats t0.  The output samples cost none, and meta carries the
+    stepper's counts and the driver's evaluations."""
     w = np.array([1.0, 1.7, 2.4])
     ahat, bhat = random_valid_coupling(rng, 3)
     calls = []
@@ -206,7 +208,11 @@ def test_evolution_calls_driver_at_t0_and_in_rhs_only(rng):
             out = evolve(driver, 0.0, 2.0, tol=1e-10, t_eval=t_eval)
             last = out if t_eval is None else out[-1]
             meta = (last[0] if evolve is evolve_Q else last).meta
-            assert len(calls) == 1 + meta["n_rhs"]
+            assert len(calls) == len(set(calls)) == meta["driver_calls"]
+            assert calls[0] == 0.0
+            # one saved per step tried, and one at t0
+            assert meta["driver_calls"] == (meta["n_rhs"] - meta["n_steps"]
+                                            - meta["n_rejected"])
             assert meta["n_steps"] > 0
             assert 0 < meta["h_min"] <= meta["h_max"] <= 2.0
             assert isinstance(meta["n_rejected"], int) \

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bogoflow.coupling import DiagonalFamilyDriver
 from bogoflow.errors import AsymptoteNotReached, InvalidArgument
 from bogoflow.evolution import identity_residual
 from bogoflow.kernels import _flrw_a2
@@ -13,6 +14,7 @@ from bogoflow.scenarios import (FlrwConfig, GwCavityConfig,
                                 flrw_run, flrw_spacetime,
                                 flrw_unconfined_limit, gw_cavity_run,
                                 gw_delta_coupling, gw_nonperturbative_pair)
+from bogoflow.spectral import OperatorSpec
 
 FIG2 = FlrwConfig(A=2.5, B=1.5, rho=1.0, m=0.1, L=1000.0, n_max=5,
                   eta_span=(-10.0, 10.0), tol=1e-10)
@@ -108,6 +110,22 @@ def test_spacetime_scales_beyond_the_span():
         (s,), (ds,) = st.diag_scales(t), st.diag_scales_dt(t)
         assert abs(s - a2) <= 1e-12 * a2
         assert abs(ds - da2 / np.sqrt(a2)) <= 1e-12 * abs(da2 / np.sqrt(a2))
+
+
+def test_spacetime_inverts_each_time_once(monkeypatch):
+    """A driver call on flrw_spacetime reads a^2 and d(a^2)/dt at one t,
+    from one Newton inversion t -> eta."""
+    st = flrw_spacetime(FIG2)
+    driver = DiagonalFamilyDriver(OperatorSpec(boundary=st.boundary), st,
+                                  labels=[(-1,), (0,), (1,)])
+    inversions = []
+    t_to_eta = FlrwConfig.t_to_eta
+    monkeypatch.setattr(FlrwConfig, "t_to_eta",
+                        lambda cfg, t: inversions.append(t) or t_to_eta(cfg, t))
+    for t in (-3.0, 0.0, 2.5):
+        inversions.clear()
+        driver(t)
+        assert inversions == [t]
 
 
 def test_config_validation():

@@ -13,7 +13,8 @@ from bogoflow import (BoundarySpec, Domain, SyncSpacetime, align_basis,
                       regularize_zero_mode, static_spacetime)
 from bogoflow.errors import (DegeneracyMismatch, InvalidArgument,
                              NegativeEigenvalue, ZeroMode)
-from bogoflow.spectral import apply_operator, fd_operator_1d
+from bogoflow.spectral import (_clusters, _combine, apply_operator,
+                               fd_operator_1d)
 
 from conftest import make_operator
 
@@ -133,6 +134,14 @@ def test_gram_rejects_mixed_grid_and_separable_modes(long_torus):
                                  as_fd(long_torus), 0.0, 3)
     with pytest.raises(InvalidArgument):
         b_fd.context.gram(b_fd.modes, coarse.modes)
+    # a grid of the same size elsewhere, after a Gram cached the weights
+    ctx = b_fd.context
+    ctx.gram(b_fd.modes, b_fd.modes)
+    shifted = [replace(m, x=m.x + 1.0) for m in b_fd.modes]
+    with pytest.raises(InvalidArgument):
+        ctx.gram(b_fd.modes, shifted)
+    fresh = type(ctx)(ctx.spacetime, ctx.t).gram(shifted, shifted)
+    assert np.array_equal(ctx.gram(shifted, shifted), fresh)
 
 
 def test_callable_weight_gram_of_separable_modes(unit_torus):
@@ -340,6 +349,75 @@ def test_label_order_stable_across_sweep():
             off = np.delete(mags[i], i)
             assert mags[i, i] > 10 * (off.max() if off.size else 0.0)
         prev = cur
+
+
+def ref_align_basis(prev, next_basis):
+    """align_basis with Gram-Schmidt on the combined modes, one Gram per
+    inner product and norm: the reference for its coefficient form."""
+    ctx = next_basis.context
+    overlaps = ctx.gram(prev.modes, next_basis.modes, conj=True)
+    where = {lab: i for i, lab in enumerate(next_basis.labels)}
+    aligned = {}
+    for g in _clusters(prev.omegas):
+        labels = [prev.labels[i] for i in g]
+        idx = [where[lab] for lab in labels]
+        next_modes = [next_basis.modes[i] for i in idx]
+        omega = float(next_basis.omegas[idx[0]])
+        if len(g) == 1:
+            z = overlaps[g[0], idx[0]]
+            aligned[labels[0]] = next_modes[0].scaled(z / abs(z))
+            continue
+        gram_next = ctx.gram(next_modes, next_modes, conj=True)
+        coefs = np.linalg.solve(gram_next.T, overlaps[np.ix_(g, idx)].T).T
+        done = []
+        for lab, vec in zip(labels, coefs.astype(complex)):
+            cand = _combine(lab, list(zip(vec, next_modes)))
+            for d in done:
+                ip = ctx.gram([cand], [d], conj=True)[0, 0]
+                nrm = ctx.gram([d], [d], conj=True)[0, 0]
+                cand = _combine(lab, [(1.0, cand), (-ip / nrm, d)])
+            nrm = ctx.gram([cand], [cand], conj=True)[0, 0].real
+            done.append(cand.scaled(1.0 / np.sqrt(2.0 * omega * nrm)))
+        aligned.update(zip(labels, done))
+    return [aligned[lab] for lab in prev.labels]
+
+
+def rotated_pairs(basis, rng):
+    """``basis`` with each degenerate cluster rotated by a random unitary."""
+    modes = list(basis.modes)
+    for g in _clusters(basis.omegas):
+        if len(g) > 1:
+            q, _ = np.linalg.qr(rng.normal(size=(len(g), len(g)))
+                                + 1j * rng.normal(size=(len(g), len(g))))
+            cluster = [basis.modes[i] for i in g]
+            for col, i in enumerate(g):
+                modes[i] = _combine(basis.labels[i],
+                                    list(zip(q[:, col], cluster)))
+    return replace(basis, modes=tuple(modes))
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_align_matches_per_pair_gram_schmidt(rng, grid):
+    """Gram-Schmidt on coefficient vectors in one Gram per cluster agrees
+    with the per-pair loop on a 101-mode torus and a 5-mode FD torus."""
+    a = lambda t: np.sqrt(2.5 + 1.5 * np.tanh(t))
+    st = flrw_torus(a, length=1.0, mass=1.0)
+    n_modes = 101
+    if grid:
+        st, n_modes = as_fd(st), 5
+    op = make_operator(st)
+    prev = instantaneous_basis(op, st, 0.3, n_modes)
+    fresh = rotated_pairs(instantaneous_basis(op, st, 0.45, n_modes), rng)
+    assert sum(len(g) > 1 for g in _clusters(prev.omegas)) == n_modes // 2
+    got = align_basis(prev, fresh)
+    ref = ref_align_basis(prev, fresh)
+    if grid:
+        vals = [(m.values, r.values) for m, r in zip(got.modes, ref)]
+    else:
+        pts = np.linspace(0.0, 1.0, 257)[:, None]
+        vals = [(m.value(pts), r.value(pts)) for m, r in zip(got.modes, ref)]
+    scale = max(np.max(np.abs(r)) for _, r in vals)
+    assert max(np.max(np.abs(v - r)) for v, r in vals) <= 1e-13 * scale
 
 
 def test_requested_too_many_modes(long_torus):
