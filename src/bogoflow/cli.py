@@ -33,6 +33,8 @@ from .scenarios import (FlrwConfig, GwCavityConfig, flrw_run, gw_cavity_run)
 _SCENARIOS = ("flrw", "gw_cavity", "custom")
 #: the solver counts a record's ``diagnostics`` copies from a run's meta
 _SOLVER_COUNTS = ("n_steps", "n_rejected", "n_rhs", "h_min", "h_max")
+#: the driver-table counts that a custom record adds to them
+_TABLE_COUNTS = ("driver_calls", "table_panels")
 
 
 def canonical_json(obj) -> str:
@@ -285,8 +287,8 @@ def _run_custom(cfg, tol, n_modes, rng):
         "n_modes": {"requested": n, "used": driver.n_modes},
         "identity_residuals": {"final": identity_residual(final_q)},
         "convergence": None,
-        "diagnostics": {"run": {key: final_q.meta[key]
-                                for key in _SOLVER_COUNTS}},
+        "diagnostics": {"run": {key: final_q.meta[key] for key in
+                                _SOLVER_COUNTS + _TABLE_COUNTS}},
     }
     return columns, record, None
 

@@ -112,7 +112,9 @@ def basis_derivatives(family: Callable, basis: ModeBasis,
     Without ``dt`` they are the family's closed form,
     ``family.analytic_derivatives(basis)``.  An explicit ``dt`` takes
     central differences instead: ``basis`` is ``family(basis.t)``, and the
-    slices ``family(t +/- dt)`` are aligned against it before differencing.
+    slices at t +/- dt are aligned against it before differencing.  Those
+    slices come from ``family.solve``, unaligned, where the family has one,
+    so that each is aligned once.
     """
     if dt is None:
         if not hasattr(family, "analytic_derivatives"):
@@ -120,8 +122,9 @@ def basis_derivatives(family: Callable, basis: ModeBasis,
                 "family has no closed-form derivatives; pass a stencil dt")
         return family.analytic_derivatives(basis)
     t = basis.t
-    plus = align_basis(basis, family(t + dt))
-    minus = align_basis(basis, family(t - dt))
+    solve = getattr(family, "solve", family)
+    plus = align_basis(basis, solve(t + dt))
+    minus = align_basis(basis, solve(t - dt))
     scale = 1.0 / (2.0 * dt)
     dmodes = tuple(
         _combine(lab, [(scale, p), (-scale, m)])
@@ -209,9 +212,12 @@ class InstantaneousFamily:
         self.n_modes = n_modes
         self.reference = instantaneous_basis(op, st, t_ref, n_modes)
 
+    def solve(self, t: float) -> ModeBasis:
+        """The slice's eigenbasis at t as the solver returns it, unaligned."""
+        return instantaneous_basis(self.op, self.st, t, self.n_modes)
+
     def __call__(self, t: float) -> ModeBasis:
-        fresh = instantaneous_basis(self.op, self.st, t, self.n_modes)
-        return align_basis(self.reference, fresh)
+        return align_basis(self.reference, self.solve(t))
 
     def analytic_derivatives(self, basis: ModeBasis) -> BasisDerivatives:
         """Closed-form derivatives of ``basis = self(basis.t)``, by the

@@ -6,9 +6,18 @@ phase accumulated by i Omega + diag(ahat), which removes the fastest
 oscillations and is preferred for perturbative and long runs.  Both forms
 integrate only the top blocks (alpha, beta); the lower blocks are their
 conjugates by construction.
+
+The frequencies and couplings change only as fast as the metric does, and
+on the general path every evaluation of them is a slice eigensolve.  So
+both forms read the driver through a :class:`DriverTable`: the driver is
+sampled once, at Chebyshev points on panels covering the span, until the
+Chebyshev coefficients fall below the solve's tolerance, and each
+right-hand side reads the barycentric interpolant of those samples.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -100,10 +109,7 @@ def _unpack(sample):
 class LastCall:
     """``fn(t)``, evaluated once per distinct time in a row of calls.
 
-    A DOPRI5 step evaluates its last two stages at the same t + h, and a
-    solve's first right-hand side repeats the time the set-up asked for;
-    both reuse the value of the call before.  ``calls`` counts the
-    evaluations of ``fn``.
+    ``calls`` counts the evaluations of ``fn``.
     """
 
     def __init__(self, fn: Callable):
@@ -118,6 +124,257 @@ class LastCall:
             self._last = (t, value)
             self.calls += 1
         return value
+
+
+# Chebyshev-Lobatto node counts of a panel; each set holds the one before
+_SIZES = (17, 33, 65, 129, 257)
+# (1 - cos(pi j / 256)) / 2: the largest set on [0, 1], start to end
+_UNIT = np.sin(np.pi * np.arange(257) / 512) ** 2
+# a panel this many halvings narrower than the span is kept unresolved
+_MAX_SPLITS = 10
+
+
+@lru_cache(maxsize=len(_SIZES))
+def _coefficient_matrix(n: int) -> np.ndarray:
+    """Values at n Chebyshev-Lobatto points -> Chebyshev coefficients."""
+    m = n - 1
+    jk = np.outer(np.arange(n), np.arange(n)) % (2 * m)
+    c = np.cos(np.pi / m * jk) * (2.0 / m)
+    c[:, [0, m]] *= 0.5
+    c[[0, m]] *= 0.5
+    return c
+
+
+def _standard_chop(coeffs: np.ndarray, tol: float) -> int:
+    """Number of Chebyshev coefficients to keep for relative accuracy
+    tol < 1, of a series that is not all zero.
+
+    Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 43 (2017)
+    33: find where the envelope of ``|coeffs|`` flattens out (a plateau
+    below about tol^(2/3), possibly of noise), then cut where a line of
+    slope tol^(1/3) over the whole series touches it.  Returns
+    ``len(coeffs)`` when the series is not resolved.
+    """
+    n = len(coeffs)
+    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    env = env / env[0]
+    log_tol = np.log(tol)
+    for j in range(2, n + 1):           # 1-based, as in the paper
+        j2 = int(1.25 * j + 5.5)
+        if j2 > n:
+            return n
+        e1, e2 = env[j - 1], env[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - np.log(e1) / log_tol):
+            plateau = j - 1
+            break
+    if env[plateau - 1] == 0.0:
+        return plateau
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.count_nonzero(env >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = floor
+    cc = np.log10(env[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(cc)), 1)
+
+
+class _Panel:
+    """Barycentric interpolant of driver samples at Chebyshev-Lobatto times.
+
+    Column layout of ``values``: the n frequencies, then the entries of
+    ahat and bhat (flat indices ``ia``, ``ib``) that are nonzero at some
+    node; the others are zero throughout.
+    """
+
+    def __init__(self, times, samples):
+        self.times = times
+        n_nodes = len(times)
+        self.weights = np.where(np.arange(n_nodes) % 2, -1.0, 1.0)
+        self.weights[[0, -1]] *= 0.5
+        self.n = n = len(samples[0][0])
+        w, ja, va, jb, vb = zip(*samples)
+        self.ia, self.ib = (_union(ja, n * n), _union(jb, n * n))
+        self.split = n + len(self.ia)
+        self.values = np.zeros((n_nodes, self.split + len(self.ib)),
+                               dtype=complex)
+        self.values[:, :n] = w
+        for cols, idx, vals, offset in ((self.ia, ja, va, n),
+                                        (self.ib, jb, vb, self.split)):
+            rows = np.repeat(np.arange(n_nodes), [len(j) for j in idx])
+            self.values[rows, offset + np.searchsorted(
+                cols, np.concatenate(idx))] = np.concatenate(vals)
+
+    def tails(self, tol, coupling_target):
+        """Per block (frequencies, ahat, bhat): whether it is resolved, and
+        its tail, the largest of its last n/8 (at least 3) Chebyshev
+        coefficients over its target: relative ``tol`` for the frequencies,
+        the absolute ``coupling_target`` for ahat and bhat.  A block is
+        resolved when its tail is at most 1, or when
+        :func:`_standard_chop` finds a plateau of noise above the target."""
+        n_nodes = len(self.times)
+        coef = np.abs(_coefficient_matrix(n_nodes)
+                      @ self.values.view(float))
+        window = max(3, n_nodes // 8)
+        out = []
+        for lo, hi in ((0, self.n), (self.n, self.split),
+                       (self.split, self.values.shape[1])):
+            env = coef[:, 2 * lo:2 * hi].max(axis=1, initial=0.0)
+            scale = env.max()
+            if scale == 0.0:
+                out.append((True, 0.0))
+                continue
+            absolute = tol * scale if lo == 0 else coupling_target
+            tail = float(env[-window:].max()) / absolute
+            out.append((tail <= 1.0 or _standard_chop(env, absolute / scale)
+                        < n_nodes, tail))
+        return out
+
+    def __call__(self, t):
+        d = t - self.times
+        if d.all():
+            c = self.weights / d
+            v = (c @ self.values.view(float) / c.sum()).view(complex)
+        else:
+            v = self.values[np.flatnonzero(d == 0.0)[0]]
+        n = self.n
+        ah = np.zeros((n, n), dtype=complex)
+        bh = np.zeros((n, n), dtype=complex)
+        if len(self.ia):
+            ah.ravel()[self.ia] = v[n:self.split]
+        if len(self.ib):
+            bh.ravel()[self.ib] = v[self.split:]
+        return v[:n].real, ah, bh
+
+
+class DriverTable:
+    """A driver sampled once, on Chebyshev panels over ``t0`` to ``t1``.
+
+    Panels cover the span from ``t0`` on, in either direction.  A panel is
+    sampled at 17, 33, 65, 129, then 257 Chebyshev-Lobatto times (each set
+    holds the one before, so no time is sampled twice) until each block of
+    its Chebyshev coefficients is resolved (:meth:`_Panel.tails`): the
+    frequencies to relative ``tol``, ahat and bhat to the absolute
+    ``tol / |t1 - t0|``, so that neither coupling block moves the evolved
+    transformation by more than about ``tol``.  A panel that stays
+    unresolved, or whose tails fall too slowly to resolve at 257 times, is
+    halved; the next panel starts at the width of the last one resolved,
+    doubled when 17 times resolved it.  A panel ``_MAX_SPLITS`` halvings
+    narrower than the span is kept unresolved.  Adjacent panels share
+    their end sample, and the first sample is at ``t0``.
+
+    A call at t returns (w, ahat, bhat) from the barycentric interpolant on
+    t's panel (Trefethen, *Approximation Theory and Approximation
+    Practice*, ch. 5), exact at the sample times; a time outside the span
+    takes its nearest end.  The interpolant is a real-weighted sum of the
+    samples, so ahat = -ahat^dag and bhat = bhat^T hold between them as
+    well as they hold in them, to rounding.
+    """
+
+    def __init__(self, driver: Callable, t0: float, t1: float, tol: float):
+        self.driver = driver
+        self.calls = 0
+        self.tail = 0.0
+        self.symmetry_residual = None
+        first = self._sample(t0)
+        span = abs(t1 - t0)
+        panels = self._build(t0, t1, first, tol, span) if span else \
+            [_Panel(np.array([float(t0)]), [first])]
+        panels.sort(key=lambda p: p.times[0] + p.times[-1])
+        self._panels = panels
+        self._bounds = [max(p.times[[0, -1]]) for p in panels[:-1]]
+        self._lo, self._hi = min(t0, t1), max(t0, t1)
+        self.n = panels[0].n
+
+    def stats(self) -> dict:
+        """``driver_calls``, the driver's evaluations; ``table_panels``;
+        ``table_tail``, the largest tail of a block on a panel (above 1 on
+        a panel kept unresolved, or where the samples carry noise above the
+        target); and, when the driver's :class:`CouplingMatrices` carry it,
+        the largest ``symmetry_residual`` over the samples."""
+        out = {"driver_calls": self.calls, "table_panels": len(self._panels),
+               "table_tail": self.tail}
+        if self.symmetry_residual is not None:
+            out["symmetry_residual"] = self.symmetry_residual
+        return out
+
+    def _sample(self, t):
+        omegas, coup = self.driver(t)
+        self.calls += 1
+        if isinstance(coup, CouplingMatrices) \
+                and "symmetry_residual" in coup.meta:
+            self.symmetry_residual = max(self.symmetry_residual or 0.0,
+                                         coup.meta["symmetry_residual"])
+        w, ah, bh = _unpack((omegas, coup))
+        return (w, *_nonzero(ah), *_nonzero(bh))
+
+    def _panel(self, start, end, first, tol, coupling_target):
+        """Sample [start, end] at growing node counts until it chops: the
+        panel, whether it chopped, its tail and its sample at ``end``.
+
+        Growth stops early when the tails of the unresolved blocks, falling
+        geometrically at the rate of the last doubling, would still miss
+        their targets at the largest count."""
+        samples = [first]
+        last = None
+        for n_nodes in _SIZES:
+            times = start + (end - start) * _UNIT[::256 // (n_nodes - 1)]
+            times[-1] = end
+            if len(samples) == 1:
+                samples += [self._sample(t) for t in times[1:]]
+            else:
+                grown = [None] * n_nodes
+                grown[::2] = samples
+                for j in range(1, n_nodes, 2):
+                    grown[j] = self._sample(times[j])
+                samples = grown
+            panel = _Panel(times, samples)
+            checks = panel.tails(tol, coupling_target)
+            resolved = all(ok for ok, _ in checks)
+            if resolved:
+                break
+            worst = max(tail for ok, tail in checks if not ok)
+            doublings = 2.0 * (_SIZES[-1] - n_nodes) / (n_nodes - 1)
+            if last is not None and worst * (worst / last) ** doublings > 1.0:
+                break
+            last = worst
+        return panel, resolved, max(tail for _, tail in checks), samples[-1]
+
+    def _build(self, t0, t1, first, tol, span):
+        narrowest = span * 2.0 ** -_MAX_SPLITS
+        panels = []
+        start, width = t0, t1 - t0
+        while start != t1:
+            end = (t1 if abs(t1 - start) <= abs(width) * (1.0 + 1e-9)
+                   else start + width)
+            panel, resolved, tail, last = self._panel(start, end, first,
+                                                      tol, tol / span)
+            if not resolved and abs(end - start) > narrowest:
+                width = 0.5 * (end - start)
+                continue
+            panels.append(panel)
+            self.tail = max(self.tail, tail)
+            if resolved and len(panel.times) == _SIZES[0]:
+                width *= 2.0
+            start, first = end, last
+        return panels
+
+    def __call__(self, t):
+        t = min(max(t, self._lo), self._hi)
+        return self._panels[bisect_right(self._bounds, t)](t)
+
+
+def _union(index_sets, size):
+    """Sorted union of index arrays below ``size``."""
+    mask = np.zeros(size, dtype=bool)
+    mask[np.concatenate(index_sets)] = True
+    return np.flatnonzero(mask)
+
+
+def _nonzero(m):
+    """Flat indices and values of the nonzero entries of a matrix."""
+    flat = np.asarray(m, dtype=complex).ravel()
+    idx = np.flatnonzero(flat)
+    return idx, flat[idx]
 
 
 def static_driver(omegas) -> Callable:
@@ -139,19 +396,27 @@ def _monitor(tol, get_blocks):
     return hook
 
 
+def _driver_table(driver, t0, tf, tol, t_eval) -> DriverTable:
+    """The table of ``driver`` over the span a solve integrates: from t0 to
+    the last sample of ``t_eval``, or to ``tf``."""
+    if tf == t0:
+        raise InvalidArgument("tf must differ from t0")
+    if t_eval is not None:
+        tf = t_eval[-1] if len(t_eval) else t0
+    return DriverTable(driver, float(t0), float(tf), tol)
+
+
 def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
              t_eval: Optional[Sequence[float]] = None):
     """Integrate dU/dt = [i Omega + K] U with U(t0, t0) = I.
 
     Returns the final :class:`BogoliubovMatrix` (with the identity residual,
-    the step counts and ``driver_calls``, the driver's evaluations, in
-    ``meta``); with ``t_eval`` a list of matrices at the sample times is
-    returned instead.  The driver runs once per distinct time.
+    the step counts and the :meth:`DriverTable.stats` of its driver table
+    in ``meta``); with ``t_eval`` a list of matrices at the sample times is
+    returned instead.  The driver runs only at the table's sample times.
     """
-    if tf == t0:
-        raise InvalidArgument("tf must differ from t0")
-    drive = LastCall(lambda t: _unpack(driver(t)))
-    n = len(drive(float(t0))[0])
+    drive = _driver_table(driver, t0, tf, tol, t_eval)
+    n = drive.n
 
     def blocks(y):
         return y[:n * n].reshape(n, n), y[n * n:].reshape(n, n)
@@ -173,7 +438,7 @@ def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     def to_matrix(y):
         A, B = blocks(y)
         m = BogoliubovMatrix(A.copy(), B.copy())
-        m.meta.update(res.stats(), driver_calls=drive.calls, tol=tol,
+        m.meta.update(res.stats(), **drive.stats(), tol=tol,
                       identity_residual=identity_residual(m))
         return m
 
@@ -191,10 +456,8 @@ def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     (BogoliubovMatrix of Q blocks, PhaseAccumulator), or lists of both when
     ``t_eval`` is given; ``meta`` holds what :func:`evolve_U` puts there.
     """
-    if tf == t0:
-        raise InvalidArgument("tf must differ from t0")
-    drive = LastCall(lambda t: _unpack(driver(t)))
-    n = len(drive(float(t0))[0])
+    drive = _driver_table(driver, t0, tf, tol, t_eval)
+    n = drive.n
     nn = n * n
 
     def blocks(y):
@@ -223,7 +486,7 @@ def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     def to_pair(y):
         Qa, Qb = blocks(y)
         q = BogoliubovMatrix(Qa.copy(), Qb.copy())
-        q.meta.update(res.stats(), driver_calls=drive.calls, tol=tol,
+        q.meta.update(res.stats(), **drive.stats(), tol=tol,
                       identity_residual=identity_residual(q))
         return q, PhaseAccumulator(y[2 * nn:].copy())
 

@@ -223,8 +223,8 @@ def test_custom_scenario_runs(tmp_path):
 
 
 def test_custom_record_diagnostics_are_the_solver_counts(tmp_path):
-    """The custom record carries evolve_Q's step counts, which do not
-    depend on the output samples."""
+    """The custom record carries evolve_Q's step counts and the size of its
+    driver table, none of which depend on the output samples."""
     from bogoflow.evolution import evolve_Q
 
     path = write_config(tmp_path, custom_config())
@@ -235,7 +235,8 @@ def test_custom_record_diagnostics_are_the_solver_counts(tmp_path):
     _, driver = cli._custom_driver(block, block["n_modes"])
     meta = evolve_Q(driver, t0, tf, tol=tol)[0].meta
     assert run == {key: meta[key] for key in run}
-    assert set(run) == {"n_steps", "n_rejected", "n_rhs", "h_min", "h_max"}
+    assert set(run) == {"n_steps", "n_rejected", "n_rhs", "h_min", "h_max",
+                        "driver_calls", "table_panels"}
     assert run["n_rhs"] == 2 + 6 * (run["n_steps"] + run["n_rejected"])
     assert 0 < run["h_min"] <= run["h_max"] <= tf - t0
 
@@ -260,6 +261,10 @@ configs = {
            "gw_cavity": {"lengths": [1.0, 2.0, 1.0], "epsilon": 1e-5,
                          "n_modes_per_axis": [3, 3, 3], "tol": 1e-10},
            "output": {"path": "gw", "format": "csv"}, "seed": 1},
+    "custom": {"scenario": "custom",
+               "custom": {"lengths": [1.0], "periodic": [True], "mass": 1.0,
+                          "amplitudes": [0.01], "n_modes": 3, "tf": 1.0},
+               "output": {"path": "cust", "format": "csv"}, "seed": 3},
 }
 for name, cfg in configs.items():
     (out / f"{name}_cfg.json").write_text(json.dumps(cfg))
@@ -274,9 +279,9 @@ print(" ".join(sorted(set(sys.modules) - before)))
 
 
 def test_first_run_imports_no_module(tmp_path):
-    """Every module a fig2 run, a gw_cavity run and a numeric Gaussian
-    window use is loaded at import, so the first run of each pays no
-    import: the modules loaded before it are all it uses."""
+    """Every module a fig2 run, a gw_cavity run, a custom run and a
+    numeric Gaussian window use is loaded at import, so the first run of
+    each pays no import: the modules loaded before it are all it uses."""
     root = os.path.dirname(os.path.dirname(bogoflow.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -189,11 +189,11 @@ def test_solver_counts_rhs_calls():
         assert isinstance(res.n_rejected, int) and res.n_rejected >= 0
 
 
-def test_evolution_calls_driver_at_t0_and_in_rhs_only(rng):
-    """The driver runs at t0 and at the RHS times only, once per distinct
-    time: a DOPRI5 step's last two stages share t + h, and the first RHS
-    call repeats t0.  The output samples cost none, and meta carries the
-    stepper's counts and the driver's evaluations."""
+def test_evolution_calls_driver_once_per_table_node(rng):
+    """The driver runs only at the nodes of its table, once at each, and
+    first at t0: here one panel of Chebyshev-Lobatto times on [0, 2].  The
+    output samples cost no call, and meta carries the stepper's counts and
+    the table's, ``driver_calls`` being its node count."""
     w = np.array([1.0, 1.7, 2.4])
     ahat, bhat = random_valid_coupling(rng, 3)
     calls = []
@@ -208,15 +208,19 @@ def test_evolution_calls_driver_at_t0_and_in_rhs_only(rng):
             out = evolve(driver, 0.0, 2.0, tol=1e-10, t_eval=t_eval)
             last = out if t_eval is None else out[-1]
             meta = (last[0] if evolve is evolve_Q else last).meta
-            assert len(calls) == len(set(calls)) == meta["driver_calls"]
+            n = meta["driver_calls"]
             assert calls[0] == 0.0
-            # one saved per step tried, and one at t0
-            assert meta["driver_calls"] == (meta["n_rhs"] - meta["n_steps"]
-                                            - meta["n_rejected"])
+            assert len(calls) == len(set(calls)) == n
+            assert meta["table_panels"] == 1 and n in (17, 33, 65, 129, 257)
+            nodes = 1.0 - np.cos(np.pi * np.arange(n) / (n - 1))
+            np.testing.assert_allclose(sorted(calls), nodes, rtol=0,
+                                       atol=1e-15)
+            assert 0.0 <= meta["table_tail"] <= 1.0
+            assert "symmetry_residual" not in meta   # no CouplingMatrices
             assert meta["n_steps"] > 0
+            assert meta["n_rhs"] == 2 + 6 * (meta["n_steps"]
+                                             + meta["n_rejected"])
             assert 0 < meta["h_min"] <= meta["h_max"] <= 2.0
-            assert isinstance(meta["n_rejected"], int) \
-                and meta["n_rejected"] >= 0
 
 
 def test_backward_integration():

@@ -52,7 +52,7 @@ def test_tracer_counts_one_stencil_driver_call():
     assert m["coupling.driver_calls"] == 1
     assert m["coupling.stencil_calls"] == 1
     assert m["spectral.basis_solves"] == 3
-    assert m["spectral.align_calls"] == 5
+    assert m["spectral.align_calls"] == 3
     assert (coupling.coupling_matrices, spectral.SliceContext.gram) == originals
 
 
