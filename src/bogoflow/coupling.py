@@ -10,9 +10,9 @@ factors q and rbar and the frequency drifts:
 
 The t-derivatives come from the slice eigenproblem itself
 (:func:`basis_derivatives` without ``dt``): closed-form frequency drifts
-for separable modes, and first-order eigenpair derivatives of the
-finite-difference problem K phi = w^2 M phi for grid modes.  A central
-difference of aligned eigenbases at t +/- dt is kept as the cross-check.
+for separable modes, and first-order eigenpair derivatives of the Galerkin
+pencil K c = w^2 M c for nodal modes.  A central difference of aligned
+eigenbases at t +/- dt is kept as the cross-check.
 
 The matrices must satisfy ahat = -ahat^dag and bhat = bhat^T; violations
 signal inconsistent derivatives or misaligned bases and are raised rather
@@ -24,11 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, SymmetryViolation
+from .errors import InvalidArgument, SymmetryViolation, UnresolvedSlice
 from .geometry import SyncSpacetime, q_factor, rbar_factor
-from .spectral import (GridMode, ModeBasis, OperatorSpec, _clusters,
-                       _combine, _fd_bands, align_basis, instantaneous_basis,
-                       separable_basis)
+from .spectral import (ModeBasis, NodalMode, OperatorSpec, _clusters,
+                       _combine, align_basis, galerkin_pencil,
+                       instantaneous_basis, separable_basis)
 
 
 @dataclass(eq=False)
@@ -63,43 +63,41 @@ def _diagonal_drift(st: SyncSpacetime, t: float, s: np.ndarray,
     return dw, 0.5 * float(np.sum(ds / s))
 
 
-def _fd_derivatives(op: OperatorSpec, basis: ModeBasis) -> BasisDerivatives:
-    """First-order eigenpair derivatives of the FD problem K phi = lam M phi
-    (Nelson, AIAA J. 14 (1976) 1201), from one solve.
+def _galerkin_derivatives(op: OperatorSpec,
+                          basis: ModeBasis) -> BasisDerivatives:
+    """First-order eigenpair derivatives of the Galerkin pencil
+    K c = lam M c (Nelson, AIAA J. 14 (1976) 1201), from one solve.
 
-    Over the retained modes phi = sqrt(2w) Phi, so phi^H M phi = 1, with
-    G = phi^H (K' - lam_n M') phi and B = phi^H M' phi: dlam_n = G_nn, and
-    c_mn = phi_m^H M phi_n' is G_mn / (lam_n - lam_m) across degenerate
-    clusters and -B_nn/2 on the diagonal.  Inside a cluster it takes the
-    gauge of :func:`align_basis`: -B_km for k before m in cluster order, 0
-    after.  ``dmodes_dt`` are the projections of dPhi/dt on the retained
-    modes, which is all :func:`coupling_matrices` reads.
+    Over the retained modes a = sqrt(2w) C, C their coefficients, so
+    a^H M a = 1, with G = a^H (K' - lam_n M') a and B = a^H M' a:
+    dlam_n = G_nn, and c_mn = a_m^H M a_n' is G_mn / (lam_n - lam_m) across
+    degenerate clusters and -B_nn/2 on the diagonal.  Inside a cluster it
+    takes the gauge of :func:`align_basis`: -B_km for k before m in cluster
+    order, 0 after.  ``dmodes_dt`` are the projections of dPhi/dt on the
+    retained modes, which is all :func:`coupling_matrices` reads.
     """
     w = basis.omegas
-    _, main, off, mass = _fd_bands(op, basis.spacetime, basis.t, rate=True)
-    vals = np.array([m.values for m in basis.modes]).T    # (nodes, modes)
-    # Dirichlet modes carry end nodes that the operator grid leaves out
-    inner = slice(1, -1) if op.boundary.kind == "dirichlet" else slice(None)
-    phi = vals[inner] * np.sqrt(2.0 * w)
+    rule = basis.modes[0].rule      # the modes of a basis share their solve's
+    dK, dM = galerkin_pencil(op, basis.spacetime, basis.t, rule, rate=True)
+    coef = np.array([m.coef for m in basis.modes]).T    # (size, modes)
+    a = coef * np.sqrt(2.0 * w)
     lam = w ** 2
-    # K' phi with off[j] coupling node j to j+1; an interval has no wrap
-    link = np.zeros(len(main))
-    link[:len(off)] = off
-    k_phi = (main[:, None] * phi + link[:, None] * np.roll(phi, -1, axis=0)
-             + np.roll(link[:, None] * phi, 1, axis=0))
-    B = phi.conj().T @ (mass[:, None] * phi)
-    G = phi.conj().T @ k_phi - B * lam
+    B = a.conj().T @ dM @ a
+    G = a.conj().T @ dK @ a - B * lam
 
     gap = lam - lam[:, None]                # lam_n - lam_m at [m, n]
-    c = G / np.where(gap == 0.0, 1.0, gap)
+    mix = G / np.where(gap == 0.0, 1.0, gap)
     for g in _clusters(w):                  # the align_basis gauge inside
-        c[np.ix_(g, g)] = -np.triu(B[np.ix_(g, g)], 1)
-    np.fill_diagonal(c, -0.5 * np.diagonal(B))
+        if len(g) > 1:
+            mix[np.ix_(g, g)] = -np.triu(B[np.ix_(g, g)], 1)
+    np.fill_diagonal(mix, -0.5 * np.diagonal(B))
 
     dw = np.real(np.diagonal(G)) / (2.0 * w)
     # Phi_n' = sum_m c_mn sqrt(w_m / w_n) Phi_m - dw_n / (2 w_n) Phi_n
-    dvals = vals @ (c * np.sqrt(w[:, None] / w) - np.diag(dw / (2.0 * w)))
-    dmodes = tuple(GridMode(m.label, m.x, dvals[:, i], m.periodic)
+    step = mix * np.sqrt(w[:, None] / w) - np.diag(dw / (2.0 * w))
+    dcoef = coef @ step
+    dvals = np.array([m.values for m in basis.modes]).T @ step
+    dmodes = tuple(NodalMode(m.label, rule, dcoef[:, i], dvals[:, i])
                    for i, m in enumerate(basis.modes))
     return BasisDerivatives(labels=basis.labels, dmodes_dt=dmodes,
                             domega_dt=dw, dt=0.0)
@@ -203,7 +201,15 @@ def coupling_matrices(basis: ModeBasis, derivs: BasisDerivatives,
 
 
 class InstantaneousFamily:
-    """ModeBasis family from repeated eigensolves with a fixed label set."""
+    """ModeBasis family from repeated eigensolves with a fixed label set.
+
+    A Galerkin family solves each slice on ``size`` basis functions, the
+    size :func:`instantaneous_basis` picks at the reference slice.  A slice
+    that this size does not resolve is solved again at the size it picks
+    there, which the family keeps from then on: the bases are nested, so
+    its earlier modes are the same functions on the larger basis
+    (:meth:`~bogoflow.spectral.NodalMode.lifted`).
+    """
 
     def __init__(self, op: OperatorSpec, st: SyncSpacetime, n_modes: int,
                  t_ref: float = 0.0):
@@ -211,21 +217,29 @@ class InstantaneousFamily:
         self.st = st
         self.n_modes = n_modes
         self.reference = instantaneous_basis(op, st, t_ref, n_modes)
+        first = self.reference.modes[0]
+        self.size = first.rule.size if isinstance(first, NodalMode) else None
 
     def solve(self, t: float) -> ModeBasis:
         """The slice's eigenbasis at t as the solver returns it, unaligned."""
-        return instantaneous_basis(self.op, self.st, t, self.n_modes)
+        try:
+            return instantaneous_basis(self.op, self.st, t, self.n_modes,
+                                       self.size)
+        except UnresolvedSlice:
+            basis = instantaneous_basis(self.op, self.st, t, self.n_modes)
+            self.size = max(self.size, basis.modes[0].rule.size)
+            return basis
 
     def __call__(self, t: float) -> ModeBasis:
         return align_basis(self.reference, self.solve(t))
 
     def analytic_derivatives(self, basis: ModeBasis) -> BasisDerivatives:
         """Closed-form derivatives of ``basis = self(basis.t)``, by the
-        solver that built it: eigenpair derivatives for FD grid modes; for
+        solver that built it: eigenpair derivatives for Galerkin modes; for
         separable modes (diagonal metrics) the shapes are fixed, and only
         the normalization (q + dw/w)/2 and the frequency drift move."""
-        if isinstance(basis.modes[0], GridMode):
-            return _fd_derivatives(self.op, basis)
+        if isinstance(basis.modes[0], NodalMode):
+            return _galerkin_derivatives(self.op, basis)
         # aligned degenerate modes may be combinations; their per-axis k^2
         # match the reference products carrying the same labels
         kvecs = np.array([m.wavenumbers for m in self.reference.modes])
@@ -284,7 +298,7 @@ class DiagonalFamilyDriver:
             n_modes = basis.n_modes
         else:
             basis = instantaneous_basis(op, st, t_ref, n_modes)
-            if isinstance(basis.modes[0], GridMode):
+            if isinstance(basis.modes[0], NodalMode):
                 raise InvalidArgument(
                     f"{op.boundary.kind} walls move the mode shapes; use an "
                     "InstantaneousFamily with the quadrature driver")

@@ -29,6 +29,10 @@ class ZeroMode(BogoflowError):
     """
 
 
+class UnresolvedSlice(BogoflowError):
+    """A slice's Galerkin eigenvectors do not chop on the basis in use."""
+
+
 class DegeneracyMismatch(BogoflowError):
     """Degenerate eigenspace dimensions changed between two time slices."""
 

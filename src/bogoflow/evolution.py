@@ -15,6 +15,7 @@ Chebyshev coefficients fall below the solve's tolerance, and each
 right-hand side reads the barycentric interpolant of those samples.
 """
 
+import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -25,6 +26,7 @@ import numpy as np
 from .coupling import CouplingMatrices
 from .errors import DimensionMismatch, IdentityDrift, InvalidArgument
 from .integrators import solve_dopri
+from .quadrature import _standard_chop
 
 
 @dataclass(eq=False)
@@ -145,64 +147,53 @@ def _coefficient_matrix(n: int) -> np.ndarray:
     return c
 
 
-def _standard_chop(coeffs: np.ndarray, tol: float) -> int:
-    """Number of Chebyshev coefficients to keep for relative accuracy
-    tol < 1, of a series that is not all zero.
-
-    Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 43 (2017)
-    33: find where the envelope of ``|coeffs|`` flattens out (a plateau
-    below about tol^(2/3), possibly of noise), then cut where a line of
-    slope tol^(1/3) over the whole series touches it.  Returns
-    ``len(coeffs)`` when the series is not resolved.
-    """
-    n = len(coeffs)
-    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
-    env = env / env[0]
-    log_tol = np.log(tol)
-    for j in range(2, n + 1):           # 1-based, as in the paper
-        j2 = int(1.25 * j + 5.5)
-        if j2 > n:
-            return n
-        e1, e2 = env[j - 1], env[j2 - 1]
-        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - np.log(e1) / log_tol):
-            plateau = j - 1
-            break
-    if env[plateau - 1] == 0.0:
-        return plateau
-    floor = tol ** (7.0 / 6.0)
-    j3 = int(np.count_nonzero(env >= floor))
-    if j3 < j2:
-        j2 = j3 + 1
-        env[j2 - 1] = floor
-    cc = np.log10(env[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
-    return max(int(np.argmin(cc)), 1)
-
-
 class _Panel:
     """Barycentric interpolant of driver samples at Chebyshev-Lobatto times.
 
     Column layout of ``values``: the n frequencies, then the entries of
     ahat and bhat (flat indices ``ia``, ``ib``) that are nonzero at some
-    node; the others are zero throughout.
+    node; the others are zero throughout.  A sample is held only as its
+    row of ``values``.
     """
 
-    def __init__(self, times, samples):
+    def __init__(self, times, samples, base=None):
+        """The panel of ``samples`` at ``times``; with ``base``, a panel on
+        every other of ``times``, of ``samples`` at the times between."""
         self.times = times
         n_nodes = len(times)
         self.weights = np.where(np.arange(n_nodes) % 2, -1.0, 1.0)
         self.weights[[0, -1]] *= 0.5
         self.n = n = len(samples[0][0])
         w, ja, va, jb, vb = zip(*samples)
-        self.ia, self.ib = (_union(ja, n * n), _union(jb, n * n))
+        known = ((), ()) if base is None else ((base.ia,), (base.ib,))
+        self.ia = _union(ja + known[0], n * n)
+        self.ib = _union(jb + known[1], n * n)
         self.split = n + len(self.ia)
         self.values = np.zeros((n_nodes, self.split + len(self.ib)),
                                dtype=complex)
-        self.values[:, :n] = w
+        new = np.arange(n_nodes) if base is None else np.arange(1, n_nodes, 2)
+        self.values[new, :n] = w
         for cols, idx, vals, offset in ((self.ia, ja, va, n),
                                         (self.ib, jb, vb, self.split)):
-            rows = np.repeat(np.arange(n_nodes), [len(j) for j in idx])
+            rows = np.repeat(new, [len(j) for j in idx])
             self.values[rows, offset + np.searchsorted(
                 cols, np.concatenate(idx))] = np.concatenate(vals)
+        if base is not None:
+            cols = np.concatenate((
+                np.arange(n), n + np.searchsorted(self.ia, base.ia),
+                self.split + np.searchsorted(self.ib, base.ib)))
+            self.values[::2, cols] = base.values
+
+    def sample(self, j):
+        """Node ``j``'s sample as the driver table takes it in: (w, and the
+        flat indices and values of the nonzero entries of ahat and bhat)."""
+        row, n = self.values[j], self.n
+        out = [row[:n].real]
+        for cols, block in ((self.ia, row[n:self.split]),
+                            (self.ib, row[self.split:])):
+            nonzero = np.flatnonzero(block)
+            out += [cols[nonzero], block[nonzero]]
+        return tuple(out)
 
     def tails(self, tol, coupling_target):
         """Per block (frequencies, ahat, bhat): whether it is resolved, and
@@ -212,8 +203,8 @@ class _Panel:
         resolved when its tail is at most 1, or when
         :func:`_standard_chop` finds a plateau of noise above the target."""
         n_nodes = len(self.times)
-        coef = np.abs(_coefficient_matrix(n_nodes)
-                      @ self.values.view(float))
+        coef = _coefficient_matrix(n_nodes) @ self.values.view(float)
+        np.abs(coef, out=coef)
         window = max(3, n_nodes // 8)
         out = []
         for lo, hi in ((0, self.n), (self.n, self.split),
@@ -274,6 +265,7 @@ class DriverTable:
         self.driver = driver
         self.calls = 0
         self.tail = 0.0
+        self.unresolved = 0
         self.symmetry_residual = None
         first = self._sample(t0)
         span = abs(t1 - t0)
@@ -289,10 +281,12 @@ class DriverTable:
         """``driver_calls``, the driver's evaluations; ``table_panels``;
         ``table_tail``, the largest tail of a block on a panel (above 1 on
         a panel kept unresolved, or where the samples carry noise above the
-        target); and, when the driver's :class:`CouplingMatrices` carry it,
-        the largest ``symmetry_residual`` over the samples."""
+        target); ``table_unresolved``, the number of panels kept unresolved
+        at the depth cap, which tells those two apart; and, when the
+        driver's :class:`CouplingMatrices` carry it, the largest
+        ``symmetry_residual`` over the samples."""
         out = {"driver_calls": self.calls, "table_panels": len(self._panels),
-               "table_tail": self.tail}
+               "table_tail": self.tail, "table_unresolved": self.unresolved}
         if self.symmetry_residual is not None:
             out["symmetry_residual"] = self.symmetry_residual
         return out
@@ -314,20 +308,16 @@ class DriverTable:
         Growth stops early when the tails of the unresolved blocks, falling
         geometrically at the rate of the last doubling, would still miss
         their targets at the largest count."""
-        samples = [first]
-        last = None
+        panel = last = None
         for n_nodes in _SIZES:
             times = start + (end - start) * _UNIT[::256 // (n_nodes - 1)]
             times[-1] = end
-            if len(samples) == 1:
-                samples += [self._sample(t) for t in times[1:]]
+            if panel is None:
+                panel = _Panel(times, [first] + [self._sample(t)
+                                                 for t in times[1:]])
             else:
-                grown = [None] * n_nodes
-                grown[::2] = samples
-                for j in range(1, n_nodes, 2):
-                    grown[j] = self._sample(times[j])
-                samples = grown
-            panel = _Panel(times, samples)
+                panel = _Panel(times, [self._sample(t) for t in times[1::2]],
+                               base=panel)
             checks = panel.tails(tol, coupling_target)
             resolved = all(ok for ok, _ in checks)
             if resolved:
@@ -337,7 +327,8 @@ class DriverTable:
             if last is not None and worst * (worst / last) ** doublings > 1.0:
                 break
             last = worst
-        return panel, resolved, max(tail for _, tail in checks), samples[-1]
+        return panel, resolved, max(tail for _, tail in checks), \
+            panel.sample(-1)
 
     def _build(self, t0, t1, first, tol, span):
         narrowest = span * 2.0 ** -_MAX_SPLITS
@@ -353,6 +344,7 @@ class DriverTable:
                 continue
             panels.append(panel)
             self.tail = max(self.tail, tail)
+            self.unresolved += not resolved
             if resolved and len(panel.times) == _SIZES[0]:
                 width *= 2.0
             start, first = end, last
@@ -414,8 +406,12 @@ def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     the step counts and the :meth:`DriverTable.stats` of its driver table
     in ``meta``); with ``t_eval`` a list of matrices at the sample times is
     returned instead.  The driver runs only at the table's sample times.
+    ``meta`` also holds ``table_s`` and ``stepper_s``, the wall time of
+    building the table (every driver call) and of the stepper.
     """
+    start = time.perf_counter()
     drive = _driver_table(driver, t0, tf, tol, t_eval)
+    table_s = time.perf_counter() - start
     n = drive.n
 
     def blocks(y):
@@ -432,13 +428,16 @@ def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     y0 = np.concatenate([np.eye(n, dtype=complex).ravel(),
                          np.zeros(n * n, dtype=complex)])
     hook = _monitor(tol, blocks)
+    start = time.perf_counter()
     res = solve_dopri(rhs, t0, tf, y0, rtol=tol, atol=tol,
                       t_eval=t_eval, step_hook=hook)
+    stepper_s = time.perf_counter() - start
 
     def to_matrix(y):
         A, B = blocks(y)
         m = BogoliubovMatrix(A.copy(), B.copy())
         m.meta.update(res.stats(), **drive.stats(), tol=tol,
+                      table_s=table_s, stepper_s=stepper_s,
                       identity_residual=identity_residual(m))
         return m
 
@@ -456,7 +455,9 @@ def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     (BogoliubovMatrix of Q blocks, PhaseAccumulator), or lists of both when
     ``t_eval`` is given; ``meta`` holds what :func:`evolve_U` puts there.
     """
+    start = time.perf_counter()
     drive = _driver_table(driver, t0, tf, tol, t_eval)
+    table_s = time.perf_counter() - start
     n = drive.n
     nn = n * n
 
@@ -480,13 +481,16 @@ def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
                          np.zeros(nn, dtype=complex),
                          np.zeros(n, dtype=complex)])
     hook = _monitor(tol, blocks)
+    start = time.perf_counter()
     res = solve_dopri(rhs, t0, tf, y0, rtol=tol, atol=tol,
                       t_eval=t_eval, step_hook=hook)
+    stepper_s = time.perf_counter() - start
 
     def to_pair(y):
         Qa, Qb = blocks(y)
         q = BogoliubovMatrix(Qa.copy(), Qb.copy())
         q.meta.update(res.stats(), **drive.stats(), tol=tol,
+                      table_s=table_s, stepper_s=stepper_s,
                       identity_residual=identity_residual(q))
         return q, PhaseAccumulator(y[2 * nn:].copy())
 

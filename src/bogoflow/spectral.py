@@ -4,15 +4,15 @@ Two solver paths produce a :class:`ModeBasis` on a time slice:
 
 * an analytic path for spatially constant diagonal metrics on boxes/tori
   (separable trigonometric/exponential modes), and
-* a second-order finite-difference Sturm-Liouville solver for generic
-  one-dimensional metrics with Dirichlet, Neumann, Robin or periodic
-  conditions.
+* a Rayleigh-Ritz (Galerkin) solver for generic one-dimensional metrics in
+  a Legendre basis between Dirichlet, Neumann or Robin walls, or a Fourier
+  basis on the torus.
 
 Modes are normalized so that the slice integral of |Phi_n|^2 against the
 metric volume element equals 1/(2 omega_n).  Slice integrals (Grams) of
-separable modes are exact; Grams of grid modes are the discrete inner
-product sum M a b of the FD eigenproblem K Phi = omega^2 M Phi on the
-modes' own grid, so FD bases are orthonormal to rounding.
+separable modes are exact; Grams of Galerkin modes use the quadrature rule
+that assembled the mass matrix M of their pencil K c = omega^2 M c, so
+Galerkin bases are orthonormal to rounding.
 """
 
 import functools
@@ -23,9 +23,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (DegeneracyMismatch, InvalidArgument, NegativeEigenvalue,
-                     ZeroMode)
+                     UnresolvedSlice, ZeroMode)
 from .geometry import BoundarySpec, SyncSpacetime, q_factor, time_step
-from .quadrature import panel_rule
+from .quadrature import _leggauss, _standard_chop, panel_rule
 
 _TINY_K = 1e-14
 #: omega^2 within this fraction of the largest |omega^2| counts as a zero mode.
@@ -34,6 +34,12 @@ _ZERO_TOL = 1e-12
 _DEGENERACY_RTOL = 1e-8
 #: |phi| within this fraction of a mode's maximum ties for the sign node.
 _SIGN_TIE_RTOL = 1e-6
+#: Galerkin basis sizes tried in turn on a 1D slice (odd: 1 + 2j on a torus)
+_SIZES = (17, 21, 25, 33, 41, 49, 65, 81, 97, 129, 161, 193, 257, 321, 385,
+          513)
+#: relative accuracy to which the kept eigenvectors' coefficients chop at
+#: the size a slice picks, and at any size it is given
+_PICK_TOL, _CHOP_TOL = 1e-13, 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +170,6 @@ def combine_separable(label, coef_modes) -> SeparableMode:
     return SeparableMode(label, tuple(terms))
 
 
-@dataclass(frozen=True)
-class GridMode:
-    """1D eigenfunction sampled on the nodes of a uniform FD grid."""
-
-    label: tuple
-    x: np.ndarray
-    values: np.ndarray
-    periodic: bool = False
-
-    def scaled(self, c):
-        return GridMode(self.label, self.x, self.values * c, self.periodic)
-
-
 # ---------------------------------------------------------------------------
 # slice integrals
 
@@ -202,18 +195,19 @@ class SliceContext:
     """Mode pair integrals on one slice.
 
     Separable modes integrate exactly, or on composite Gauss-Legendre panels
-    under a callable weight (1D); grid modes use the FD mass matrix M of
-    their own grid.  The context keeps M, and M times each callable weight
-    it was given, for the last grid it integrated on, so every Gram on that
-    grid evaluates the metric and the weight once.
+    under a callable weight (1D); nodal modes on the quadrature rule of
+    their :class:`GalerkinRule`, the rule that assembled their pencil.  The
+    context keeps the weights w_j sqrt(h_xx(x_j)), and those times each
+    callable weight it was given, for the last rule it integrated on, so
+    every Gram on that rule evaluates the metric and the weight once.
     """
 
     def __init__(self, spacetime: SyncSpacetime, t: float):
         self.spacetime = spacetime
         self.t = t
-        # (x, periodic, M, {id(weight): (weight, M * weight(x))}) of the
-        # last grid
-        self._grid_cache = None
+        # (x, mass weights, {id(weight): (weight, mass * weight(x))}) of
+        # the last rule
+        self._nodal_cache = None
 
     def sqrt_det(self) -> float:
         st = self.spacetime
@@ -225,17 +219,18 @@ class SliceContext:
         """Matrix of integrals dV * A_n * (B_m or B_m*) * weight.
 
         ``weight`` may be None, a scalar, or a callable of points.  A Gram
-        of grid modes is sum_p W_p A_n(x_p) B_m(x_p) with W = M * weight;
-        grid and separable modes cannot share one Gram.
+        of nodal modes is sum_j W_j A_n(x_j) B_m(x_j) with
+        W = w_j sqrt(h_xx) * weight; nodal and separable modes cannot share
+        one Gram.
         """
         st = self.spacetime
         modes = list(modes_a) + list(modes_b)
-        n_grid = sum(isinstance(m, GridMode) for m in modes)
-        if n_grid:
-            if n_grid != len(modes):
+        n_nodal = sum(isinstance(m, NodalMode) for m in modes)
+        if n_nodal:
+            if n_nodal != len(modes):
                 raise InvalidArgument(
-                    "a Gram cannot mix grid and separable modes")
-            return self._gram_fd(modes_a, modes_b, modes, conj, weight)
+                    "a Gram cannot mix nodal and separable modes")
+            return self._gram_nodal(modes_a, modes_b, modes, conj, weight)
         if st.diag_scales is not None and (weight is None or np.isscalar(weight)):
             return self._gram_separable(modes_a, modes_b, conj,
                                         1.0 if weight is None else complex(weight))
@@ -287,25 +282,20 @@ class SliceContext:
             w = w * (weight(pts) if callable(weight) else weight)
         return (va * w) @ (np.conj(vb) if conj else vb).T
 
-    def _grid_weights(self, modes):
-        """(x, periodic, M, weighted) of the one grid all ``modes`` live on.
-        Each distinct grid array among them is compared once, and the
-        cached M is reused when its grid is one of them or equal."""
-        x, periodic = modes[0].x, modes[0].periodic
-        grids = {id(m.x): m.x for m in modes}
-        if any(m.periodic != periodic for m in modes) or not all(
-                g is x or np.array_equal(g, x) for g in grids.values()):
-            raise InvalidArgument("grid modes live on different grids")
-        grid = self._grid_cache
-        if grid is None or grid[1] != periodic or not (
-                id(grid[0]) in grids or np.array_equal(grid[0], x)):
-            lump = _trapezoid_lump(len(x), x[1] - x[0], periodic)
-            mass = lump * self.spacetime.sqrt_det_h(self.t, x[:, None])
-            grid = self._grid_cache = (x, periodic, mass, {})
-        return grid
+    def _nodal_weights(self, rule):
+        """(x, mass, weighted) of ``rule``, cached for the last rule."""
+        cache = self._nodal_cache
+        if cache is None or cache[0] is not rule.x:
+            mass = rule.weights * self.spacetime.sqrt_det_h(self.t,
+                                                            rule.x[:, None])
+            cache = self._nodal_cache = (rule.x, mass, {})
+        return cache
 
-    def _gram_fd(self, modes_a, modes_b, modes, conj, weight):
-        x, _, w, weighted = self._grid_weights(modes)
+    def _gram_nodal(self, modes_a, modes_b, modes, conj, weight):
+        rule = _common_rule(modes)
+        modes_a = [m.lifted(rule) for m in modes_a]
+        modes_b = [m.lifted(rule) for m in modes_b]
+        x, w, weighted = self._nodal_weights(rule)
         if callable(weight):
             # keyed by id; holding the weight keeps its id from being reused
             if id(weight) not in weighted:
@@ -364,12 +354,12 @@ class OperatorSpec:
     """Slice operator description: metric Laplacian + xi*R_h + m^2 (+ shift).
 
     ``mass_shift_sq`` implements zero-mode regularization (m^2 -> m^2 + dm^2).
-    ``fd_points`` sets the grid resolution of the finite-difference path.
+    The resolution of a 1D Galerkin solve is chosen per slice or per
+    family (:func:`instantaneous_basis`), not here.
     """
 
     boundary: BoundarySpec = field(default_factory=BoundarySpec)
     mass_shift_sq: float = 0.0
-    fd_points: int = 1024
 
     def potential(self, st: SyncSpacetime, t: float, pts) -> np.ndarray:
         base = st.coupling * st.curvature_at(t, pts) + st.mass ** 2
@@ -505,152 +495,274 @@ def _analytic_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
 
 
 # ---------------------------------------------------------------------------
-# 1D finite-difference eigenbasis
+# 1D Galerkin eigenbasis
 
 
-def _trapezoid_lump(n: int, dx: float, periodic: bool) -> np.ndarray:
-    """Trapezoid weights of ``n`` uniform nodes ``dx`` apart covering a slice:
-    dx everywhere on a torus, dx/2 at the two ends of an interval.  Times
-    sqrt(h_xx) they are the diagonal FD mass matrix M."""
-    lump = np.full(n, dx)
-    if not periodic:
-        lump[0] = lump[-1] = 0.5 * dx
-    return lump
+def _basis_tables(kind: str, L: float, size: int, x):
+    """Values and x-derivatives at ``x`` of the ``size`` functions of a
+    :class:`GalerkinRule` basis, one column each, in order of degree."""
+    x = np.asarray(x, dtype=float)
+    if kind == "fourier":
+        k = (2.0 * np.pi / L) * np.arange(1, size // 2 + 1)
+        arg = np.multiply.outer(x, k)
+        amp = 1.0 / np.sqrt(0.5 * L)
+        vals = np.empty((len(x), size))
+        slopes = np.empty((len(x), size))
+        vals[:, 0], slopes[:, 0] = 1.0 / np.sqrt(L), 0.0
+        vals[:, 1::2], slopes[:, 1::2] = np.cos(arg) * amp / k, -np.sin(arg) * amp
+        vals[:, 2::2], slopes[:, 2::2] = np.sin(arg) * amp / k, np.cos(arg) * amp
+        return vals, slopes
+    # Legendre L_0 .. L_{size+1} at u = 2x/L - 1 by the three-term
+    # recurrence, and L_k' by L_{k+1}' = L_{k-1}' + (2k + 1) L_k
+    u = 2.0 * x / L - 1.0
+    leg = np.empty((len(x), size + 2))
+    dleg = np.empty((len(x), size + 2))
+    leg[:, 0], leg[:, 1] = 1.0, u
+    dleg[:, 0], dleg[:, 1] = 0.0, 1.0
+    for k in range(1, size + 1):
+        leg[:, k + 1] = ((2 * k + 1) * u * leg[:, k] - k * leg[:, k - 1]) / (k + 1)
+        dleg[:, k + 1] = dleg[:, k - 1] + (2 * k + 1) * leg[:, k]
+    # Shen's functions (L_k - L_{k+2}) / sqrt(4k + 6), with int psi'^2 du = 1
+    norm = 1.0 / np.sqrt(4.0 * np.arange(size) + 6.0)
+    vals = (leg[:, :size] - leg[:, 2:]) * norm
+    slopes = (dleg[:, :size] - dleg[:, 2:]) * (norm * 2.0 / L)
+    if kind == "legendre":
+        # the walls' hat functions (1 -+ u)/2, then the first size - 2
+        # functions of the Dirichlet basis
+        vals = np.column_stack((0.5 * (1.0 - u), 0.5 * (1.0 + u), vals[:, :-2]))
+        slopes = np.column_stack((np.full(len(x), -1.0 / L),
+                                  np.full(len(x), 1.0 / L), slopes[:, :-2]))
+    return vals, slopes
 
 
-def fd_operator_1d(op: OperatorSpec, st: SyncSpacetime, t: float):
-    """Assemble the self-adjoint FD eigenproblem on a uniform 1D grid.
+@dataclass(frozen=True, eq=False)
+class GalerkinRule:
+    """A basis of ``size`` functions on [0, L] and the quadrature rule that
+    assembles its Rayleigh-Ritz pencil (Boyd, *Chebyshev and Fourier
+    Spectral Methods*, 2001, ch. 3 and 7):
 
-    Returns (x_nodes, main, off, mass) with K Phi = omega^2 diag(mass) Phi
-    for the symmetric tridiagonal K with diagonal ``main`` and
-    K[j, j+1] = off[j]; on a torus ``off`` has one more entry, off[-1],
-    which couples the last node to node 0.  K comes from the flux form
-    -d/dx(p dPhi/dx) with p = 1/sqrt(h_xx), plus w*V with weight
-    w = sqrt(h_xx), and mass = w * lump (:func:`_trapezoid_lump`).
-    Dirichlet grids keep the interior nodes only.  Robin conditions add
-    exactly gamma at boundary diagonal entries (p * sqrt(h) = 1).
+    * ``'dirichlet'``: Shen's (L_k - L_{k+2}) / sqrt(4k + 6) of the
+      Legendre polynomials L_k at u = 2x/L - 1, zero at both walls (Shen,
+      SIAM J. Sci. Comput. 15 (1994) 1489);
+    * ``'legendre'``: the hat functions (1 -+ u)/2 of the two walls, then
+      Shen's functions, which together span the polynomials of degree
+      below ``size``, free at the walls (Neumann, Robin);
+    * ``'fourier'``: a constant, then cos and sin of k x / k, k = 2 pi j / L
+      (torus).
+
+    Every function but the constants has a derivative of norm O(1), so K
+    stays well conditioned as ``size`` grows.  ``x`` and ``weights`` are
+    the 2 size + 20 nodes and weights of one Gauss-Legendre rule, or of
+    the trapezoid rule on the torus; ``phi`` and ``dphi`` hold the basis
+    functions and their x-derivatives there.
     """
-    return _fd_bands(op, st, t, rate=False)
+
+    kind: str
+    length: float
+    size: int
+    x: np.ndarray
+    weights: np.ndarray
+    phi: np.ndarray
+    dphi: np.ndarray
+
+    def tables(self, x):
+        """Values and x-derivatives of the basis functions at ``x``."""
+        return _basis_tables(self.kind, self.length, self.size, x)
+
+    def coefficient_tail(self, coef: np.ndarray) -> np.ndarray:
+        """|coefficients| of one function by degree (on the torus the
+        larger of the cos and sin coefficient of each frequency)."""
+        mag = np.abs(coef)
+        if self.kind != "fourier":
+            return mag
+        return np.concatenate((mag[:1], np.maximum(mag[1::2], mag[2::2])))
 
 
-def _fd_bands(op: OperatorSpec, st: SyncSpacetime, t: float, rate: bool):
-    """:func:`fd_operator_1d`, or with ``rate`` the t-derivatives
-    (x_nodes, main', off', mass') of its bands.  K is linear in p and in
-    w*V, so K' is the same assembly with p' = -q p and (w V)' = q w V + w V',
-    where q = h_xx'/(2 h_xx) (:func:`geometry.q_factor`) and V' is a central
-    difference, taken only when V moves with the curvature.  The Robin
-    gamma is constant and drops out of K'."""
-    L = st.domain.lengths[0]
-    periodic = st.domain.periodic[0]
-    M = op.fd_points
-    dx = L / M
-
-    mids = (np.arange(M) + 0.5) * dx        # all M cell midpoints on [0, L]
-    p = 1.0 / st.sqrt_det_h(t, mids[:, None])
-    if rate:
-        p = -q_factor(st, t, mids[:, None]) * p
-    x = np.arange(M if periodic else M + 1) * dx
-    lump = _trapezoid_lump(len(x), dx, periodic)
-
-    if periodic:
-        main = (p + np.roll(p, 1)) / dx
-        off = -p / dx
-    elif op.boundary.kind == "dirichlet":
-        x, lump = x[1:-1], lump[1:-1]
-        main = (p[:-1] + p[1:]) / dx        # node j+1 sees p_j and p_{j+1}
-        off = -p[1:-1] / dx
+@functools.lru_cache(maxsize=32)
+def _galerkin_rule(kind: str, L: float, size: int) -> GalerkinRule:
+    if kind == "fourier" and size % 2 == 0:
+        raise InvalidArgument("a Fourier basis has an odd size, 1 + 2j")
+    n = 2 * size + 20
+    if kind == "fourier":
+        x, w = np.arange(n) * (L / n), np.full(n, L / n)
     else:
-        main = np.zeros(len(x))
-        main[:-1] += p / dx
-        main[1:] += p / dx
-        off = -p / dx
+        u, w = _leggauss(n)
+        x, w = 0.5 * L * (u + 1.0), 0.5 * L * w
+    phi, dphi = _basis_tables(kind, L, size, x)
+    return GalerkinRule(kind, L, size, x, w, phi, dphi)
 
-    w = st.sqrt_det_h(t, x[:, None])
-    wv = w * op.potential(st, t, x[:, None])
+
+@dataclass(frozen=True)
+class NodalMode:
+    """1D mode with coefficients ``coef`` over a :class:`GalerkinRule`'s
+    basis and ``values`` at the rule's nodes."""
+
+    label: tuple
+    rule: GalerkinRule
+    coef: np.ndarray
+    values: np.ndarray
+
+    def scaled(self, c):
+        return NodalMode(self.label, self.rule, self.coef * c, self.values * c)
+
+    def lifted(self, rule: GalerkinRule) -> "NodalMode":
+        """The same function on ``rule``, a basis of the same kind with at
+        least as many functions: each basis holds the smaller ones as its
+        first functions, so the coefficients only gain zeros."""
+        if rule is self.rule:
+            return self
+        if (rule.kind, rule.length) != (self.rule.kind, self.rule.length) \
+                or rule.size < self.rule.size:
+            raise InvalidArgument("nodal modes live on different bases")
+        coef = np.zeros(rule.size, dtype=complex)
+        coef[:self.rule.size] = self.coef
+        return NodalMode(self.label, rule, coef, rule.phi @ coef)
+
+
+def _common_rule(modes) -> GalerkinRule:
+    """The largest of the modes' rules, which all of them lift to."""
+    return max({m.rule for m in modes}, key=lambda r: r.size)
+
+
+def galerkin_pencil(op: OperatorSpec, st: SyncSpacetime, t: float,
+                    rule: GalerkinRule, rate: bool = False):
+    """The Rayleigh-Ritz pencil (K, M) of the slice on ``rule``'s basis, or
+    with ``rate`` its t-derivatives (K', M').
+
+    K = int p psi_k' psi_l' + w V psi_k psi_l, M = int w psi_k psi_l, with
+    w = sqrt(h_xx) and p = 1/w: the weak form of
+    -d/dx(p dPhi/dx) + w V Phi = omega^2 w Phi.  Robin walls add
+    gamma psi_k psi_l at x = 0 and x = L (the flux p Phi' is the normal
+    derivative, -gamma Phi there).  K and M are linear in p, w and w V, so
+    K', M' are the same assembly with p' = -q p, w' = q w and
+    (w V)' = q w V + w V', where q = h_xx'/(2 h_xx) (:func:`geometry.q_factor`)
+    and V' is a central difference, taken only when V moves with the
+    curvature.  The Robin gamma is constant and drops out of K'.
+    """
+    pts = rule.x[:, None]
+    w = st.sqrt_det_h(t, pts)
+    wv = w * op.potential(st, t, pts)
+    p = 1.0 / w
     if rate:
-        q = q_factor(st, t, x[:, None])
-        wv = q * wv
+        q = q_factor(st, t, pts)
+        p, wv = -q * p, q * wv
         if st.coupling != 0.0 and st.spatial_curvature is not None:
             dt = time_step(t)
-            wv = wv + w * (op.potential(st, t + dt, x[:, None])
-                           - op.potential(st, t - dt, x[:, None])) / (2 * dt)
+            wv = wv + w * (op.potential(st, t + dt, pts)
+                           - op.potential(st, t - dt, pts)) / (2 * dt)
         w = q * w
-    main = main + wv * lump
+    phi, dphi, quad = rule.phi, rule.dphi, rule.weights
+    K = (dphi.T * (quad * p)) @ dphi + (phi.T * (quad * wv)) @ phi
+    M = (phi.T * (quad * w)) @ phi
     if op.boundary.kind == "robin" and not rate:
-        main[0] += op.boundary.gamma_at(np.array([0.0]))
-        main[-1] += op.boundary.gamma_at(np.array([L]))
-    return x, main, off, w * lump
+        ends, _ = rule.tables(np.array([0.0, rule.length]))
+        gamma = [op.boundary.gamma_at(np.array([0.0])),
+                 op.boundary.gamma_at(np.array([rule.length]))]
+        K = K + (ends.T * gamma) @ ends
+    return K, M
 
 
-def _fd_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
-              n_modes: int) -> ModeBasis:
-    x, main, off, mass = fd_operator_1d(op, st, t)
-    periodic = st.domain.periodic[0]
-    rootm = np.sqrt(mass)
-    n = len(x)
-    if n_modes > n - 1:
-        raise InvalidArgument("requested more modes than grid resolves")
+def _resolved(rule: GalerkinRule, coefs: np.ndarray, tol: float) -> bool:
+    """Whether the chop test (:func:`quadrature._standard_chop`) at
+    relative ``tol`` cuts the coefficients of the columns of ``coefs``
+    before their end, taken as one series: by degree, the largest of the
+    columns' coefficients, each relative to its column's largest."""
+    tails = np.array([rule.coefficient_tail(col) for col in coefs.T])
+    series = np.max(tails / tails.max(axis=1, keepdims=True), axis=0)
+    return _standard_chop(series, tol) < len(series)
 
-    # bands of the symmetric T = D K D, D = mass^(-1/2); each entry is
-    # K[j, j+1] * D[j] * D[j+1] in this order, since reassociating moves
-    # the eigenvectors, and every coupling built on them, by rounding
-    D = 1.0 / rootm
-    main = main * D * D
-    off = off * D[:len(off)] * np.roll(D, -1)[:len(off)]
-    if periodic:
-        from scipy.sparse import coo_matrix, diags
-        from scipy.sparse.linalg import eigsh
-        rows = np.arange(n)
-        link = coo_matrix((off, (rows, (rows + 1) % n)), shape=(n, n))
-        T = (diags(main) + link + link.T).tocsc()
-        vmin = float(np.min(op.potential(st, t, x[:, None])))
-        sigma = min(0.0, vmin) - max(1e-8, 1e-3 * max(abs(vmin), 1.0))
-        # a fixed generic start vector: ARPACK's own draws from a stream
-        # that advances across calls, and picks another basis of each
-        # degenerate +-k pair on every solve
-        v0 = np.random.default_rng(0).standard_normal(n)
-        vals, vecs = eigsh(T, k=n_modes, sigma=sigma, which="LM", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        from scipy.linalg import eigh_tridiagonal
-        vals, vecs = eigh_tridiagonal(
-            main, off, select="i", select_range=(0, n_modes - 1))
 
-    scale = max(abs(vals[-1]), 1.0)
-    if vals[0] < -_ZERO_TOL * scale:
-        raise NegativeEigenvalue(f"omega^2 = {vals[0]:.3e}")
-    if abs(vals[0]) <= _ZERO_TOL * scale:
+def _galerkin_solve(op: OperatorSpec, st: SyncSpacetime, t: float,
+                    n_modes: int, rule: GalerkinRule, tol: float) -> ModeBasis:
+    """The lowest ``n_modes`` eigenpairs of the slice's pencil on ``rule``,
+    whose eigenvectors must chop at ``tol``."""
+    if n_modes > rule.size - 2:
+        raise InvalidArgument(
+            f"requested {n_modes} modes of a {rule.size}-function basis")
+    K, M = galerkin_pencil(op, st, t, rule)
+    try:
+        chol = np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        # K is not positive definite, so neither is the lowest omega^2;
+        # the direct form finds it to eps lam_max, about K/M's last entry
+        inv = np.linalg.inv(np.linalg.cholesky(M))
+        lam = np.linalg.eigvalsh(inv @ K @ inv.T)[0]
+        scale = max(abs(float(K[-1, -1] / M[-1, -1])), 1.0)
+        if lam < -_ZERO_TOL * scale:
+            raise NegativeEigenvalue(f"omega^2 = {lam:.3e}")
+        raise ZeroMode(f"omega^2 = {lam:.3e}; consider a mass shift")
+    # K c = lam M c as the symmetric (C M C^T) y = y / lam, C = L^-1 of
+    # K = L L^T: the lowest lam are the largest 1/lam, which eigh finds to
+    # eps / lam_1 where the direct form C' K C'^T finds lam to eps lam_max
+    inv = np.linalg.inv(chol)
+    mu, vecs = np.linalg.eigh(inv @ M @ inv.T)
+    mu, vecs = mu[:-n_modes - 1:-1], vecs[:, :-n_modes - 1:-1]
+    vals = 1.0 / mu
+    # c^T M c = 1, evaluated as such: 1/sqrt(mu) leaves the rounding of
+    # the transform in the normalization
+    coefs = inv.T @ vecs
+    coefs = coefs / np.sqrt(np.einsum('ij,ij->j', coefs, M @ coefs))
+    if abs(vals[0]) <= _ZERO_TOL * max(vals[-1], 1.0):
         raise ZeroMode(f"omega^2 = {vals[0]:.3e}; consider a mass shift")
+    if not _resolved(rule, coefs, tol):
+        raise UnresolvedSlice(
+            f"{rule.size} basis functions do not resolve the lowest "
+            f"{n_modes} modes at t={t:.6g}; pass a larger size")
 
     omegas = np.sqrt(vals)
-    # sum mass |phi|^2 = 1 -> rescale to 1/(2w); one row per mode
-    phis = (vecs / rootm[:, None] / np.sqrt(2.0 * omegas)).T
+    # c^T M c = 1 -> rescale to 1/(2w); one row per mode
+    coefs = (coefs / np.sqrt(2.0 * omegas)).T
+    values = coefs @ rule.phi.T
     # the first near-maximal node of each mode is positive: on a
     # mirror-symmetric slice the maxima of opposite lobes agree to rounding,
     # so the plain argmax would let rounding pick the sign
-    mag = np.abs(phis)
+    mag = np.abs(values)
     jsign = np.argmax(mag >= (1.0 - _SIGN_TIE_RTOL) * mag.max(axis=1)[:, None],
                       axis=1)
-    sign = np.where(phis[np.arange(n_modes), jsign] < 0, -1.0, 1.0)
-    phis = phis * sign[:, None]
-    if op.boundary.kind == "dirichlet":
-        # the zero end nodes, so every mode lives on the whole grid
-        x = np.concatenate(([0.0], x, [st.domain.lengths[0]]))
-        values = np.zeros((n_modes, n + 2), dtype=complex)
-        values[:, 1:-1] = phis
-    else:
-        values = phis.astype(complex, order="C")
+    sign = np.where(values[np.arange(n_modes), jsign] < 0, -1.0, 1.0)[:, None]
+    coefs, values = (coefs * sign).astype(complex), (values * sign).astype(complex)
     labels = tuple((i,) for i in range(n_modes))
-    modes = tuple(GridMode(label, x, v, periodic)
-                  for label, v in zip(labels, values))
+    modes = tuple(NodalMode(label, rule, c, v)
+                  for label, c, v in zip(labels, coefs, values))
     return ModeBasis(t=t, omegas=omegas, modes=modes, labels=labels,
                      spacetime=st)
 
 
+def _galerkin_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
+                    n_modes: int, size: Optional[int]) -> ModeBasis:
+    """The Galerkin eigenbasis on ``size`` basis functions, whose kept
+    eigenvectors must chop at ``_CHOP_TOL``; or on the first of ``_SIZES``
+    from twice ``n_modes`` on where they chop at ``_PICK_TOL``, two digits
+    tighter, so that nearby slices stay resolved at that size."""
+    kind = ("fourier" if st.domain.periodic[0] else
+            "dirichlet" if op.boundary.kind == "dirichlet" else "legendre")
+    L = st.domain.lengths[0]
+    if size is not None:
+        return _galerkin_solve(op, st, t, n_modes,
+                               _galerkin_rule(kind, L, size), _CHOP_TOL)
+    for size in _SIZES:
+        if size >= 2 * n_modes:
+            try:
+                return _galerkin_solve(op, st, t, n_modes,
+                                       _galerkin_rule(kind, L, size),
+                                       _PICK_TOL)
+            except UnresolvedSlice:
+                continue
+    raise UnresolvedSlice(f"{_SIZES[-1]} basis functions do not resolve the "
+                          f"lowest {n_modes} modes at t={t:.6g}")
+
+
 def instantaneous_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
-                        n_modes: int) -> ModeBasis:
-    """Lowest ``n_modes`` eigenpairs of the slice operator at time ``t``."""
+                        n_modes: int, size: Optional[int] = None) -> ModeBasis:
+    """Lowest ``n_modes`` eigenpairs of the slice operator at time ``t``.
+
+    Spatially constant diagonal metrics without Robin walls have separable
+    modes in closed form.  Other 1D slices take the Galerkin solve on
+    ``size`` basis functions, or with ``size=None`` on the first size whose
+    kept eigenvectors chop; its modes are :class:`NodalMode` and the size
+    is ``modes[0].rule.size``.  A solve whose eigenvectors do not chop at
+    ``size`` raises :class:`~bogoflow.errors.UnresolvedSlice`.
+    """
     if n_modes < 1:
         raise InvalidArgument("n_modes must be at least 1")
     analytic_ok = (st.diag_scales is not None
@@ -658,9 +770,9 @@ def instantaneous_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
     if analytic_ok:
         return _analytic_basis(op, st, t, n_modes)
     if st.dim == 1:
-        return _fd_basis(op, st, t, n_modes)
-    raise InvalidArgument(
-        "no solver: analytic families cover diagonal metrics, FD covers 1D")
+        return _galerkin_basis(op, st, t, n_modes, size)
+    raise InvalidArgument("no solver: analytic families cover diagonal "
+                          "metrics, the Galerkin solver covers 1D")
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +798,11 @@ def _combine(label, coef_modes):
     first = coef_modes[0][1]
     if isinstance(first, SeparableMode):
         return combine_separable(label, coef_modes)
-    vals = sum(c * m.values for c, m in coef_modes)
-    return GridMode(label, first.x, vals, first.periodic)
+    rule = _common_rule(m for _, m in coef_modes)
+    lifted = [(c, m.lifted(rule)) for c, m in coef_modes]
+    coef = sum(c * m.coef for c, m in lifted)
+    vals = sum(c * m.values for c, m in lifted)
+    return NodalMode(label, rule, coef, vals)
 
 
 def align_basis(prev: ModeBasis, next_basis: ModeBasis) -> ModeBasis:

@@ -245,25 +245,26 @@ def test_criterion_7_perturbation_property_suite():
 
 
 def test_criterion_8_spectral_correctness():
-    with criterion(8, "finite-difference eigensolver against analytic modes"):
+    with criterion(8, "Galerkin eigensolver against analytic modes and "
+                      "the finite-difference oracle"):
         from dataclasses import replace
         from bogoflow import flrw_torus
+        from fd_reference import fd_omegas
         st = flrw_torus(lambda t: 1.0, lambda t: 0.0, length=1000.0, mass=0.1)
-        st_fd = replace(st, diag_scales=None, diag_scales_dt=None)
-        exact = instantaneous_basis(OperatorSpec(boundary=st.boundary),
-                                    st, 0.0, 9)
-        op = OperatorSpec(boundary=st.boundary, fd_points=2048)
-        b2048 = instantaneous_basis(op, st_fd, 0.0, 9)
-        rel = np.abs(np.sort(b2048.omegas ** 2) - np.sort(exact.omegas ** 2)) \
-            / np.sort(exact.omegas ** 2)
-        assert np.max(rel) < 1e-6, f"eigenvalue error {np.max(rel):.3e}"
+        st_g = replace(st, diag_scales=None, diag_scales_dt=None)
+        op = OperatorSpec(boundary=st.boundary)
+        exact = instantaneous_basis(op, st, 0.0, 9)
+        galerkin = instantaneous_basis(op, st_g, 0.0, 9)
+        w2 = np.sort(exact.omegas ** 2)
+        rel = np.abs(np.sort(galerkin.omegas ** 2) - w2) / w2
+        assert np.max(rel) < 1e-12, f"eigenvalue error {np.max(rel):.3e}"
+        rel = np.abs(fd_omegas(op, st, 0.0, 9, 2048) ** 2 - w2) / w2
+        assert np.max(rel) < 1e-6, f"FD oracle error {np.max(rel):.3e}"
         errs = []
         for n in (256, 512, 1024):
-            b = instantaneous_basis(replace(op, fd_points=n), st_fd, 0.0, 5)
-            errs.append(np.max(np.abs(np.sort(b.omegas ** 2)
-                                      - np.sort(exact.omegas[:5] ** 2))
-                               / np.sort(exact.omegas[:5] ** 2)))
+            w = fd_omegas(op, st, 0.0, 5, n)
+            errs.append(np.max(np.abs(w ** 2 - w2[:5]) / w2[:5]))
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert 3.5 < errs[1] / errs[2] < 4.5
-        assert orthonormality_residual(b2048) < 1e-12
+        assert orthonormality_residual(galerkin) < 1e-12
         assert orthonormality_residual(exact) < 1e-12

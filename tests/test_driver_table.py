@@ -7,6 +7,8 @@ with the same DOPRI5 solver at the same tolerance, so they agree to a few
 tol.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -55,8 +57,8 @@ def grid_metric(fn):
         :, None, None]
 
 
-def fd_driver(h, h_dot, n_modes, t_ref=0.0, dt=None):
-    """quadrature_driver of an FD family on a 1D Dirichlet interval, mass 1."""
+def slice_driver(h, h_dot, n_modes, t_ref=0.0, dt=None):
+    """quadrature_driver of a Galerkin family on a 1D Dirichlet interval, mass 1."""
     st = SyncSpacetime(Domain((1.0,), (False,)), grid_metric(h),
                        grid_metric(h_dot), mass=1.0,
                        boundary=BoundarySpec("dirichlet"))
@@ -67,7 +69,7 @@ def fd_driver(h, h_dot, n_modes, t_ref=0.0, dt=None):
 
 def probe_driver(n_modes):
     """The ROADMAP baseline probe: h_xx = 1 + 0.05 sin(pi x) sin(6t)."""
-    return fd_driver(
+    return slice_driver(
         lambda t, x: 1.0 + 0.05 * np.sin(np.pi * x) * np.sin(6 * t),
         lambda t, x: 0.3 * np.sin(np.pi * x) * np.cos(6 * t), n_modes)
 
@@ -92,9 +94,11 @@ def test_table_matches_direct_run_on_baseline_probe(direct, n_modes, tol):
 
 
 def test_table_matches_direct_run_on_stencil_ramp(direct):
-    """perfbench's fd_mixing op: couplings from the dt = 3e-5 stencil, whose
-    rounding noise the chop takes for a plateau."""
-    drv = fd_driver(
+    """perfbench's fd_mixing op: couplings from the dt = 3e-5 stencil of
+    Galerkin slices.  The table is one panel of 17 nodes, its floor, and
+    every block of it resolves below its target: the slices carry no
+    rounding noise that the chop would have to take for a plateau."""
+    drv = slice_driver(
         lambda t, x: 1.0 + 0.1 * np.sin(np.pi * x) * (1.0 + np.tanh(t)),
         lambda t, x: 0.1 * np.sin(np.pi * x) / np.cosh(t) ** 2,
         4, t_ref=-0.25, dt=3e-5)
@@ -102,7 +106,10 @@ def test_table_matches_direct_run_on_stencil_ramp(direct):
     table = evolve_Q(drv, -0.25, 0.25, tol=tol)
     ref = direct(evolve_Q, drv, -0.25, 0.25, tol=tol)
     assert difference(table, ref) <= 10 * tol
-    assert table[0].meta["driver_calls"] <= ref[0].meta["driver_calls"] / 2
+    meta = table[0].meta
+    assert (meta["driver_calls"], meta["table_panels"]) == (17, 1)
+    assert meta["driver_calls"] < ref[0].meta["driver_calls"]
+    assert meta["table_unresolved"] == 0 and meta["table_tail"] <= 1.0
 
 
 def test_table_matches_direct_run_on_separable_torus(direct):
@@ -170,14 +177,27 @@ def test_backward_run_and_last_sample_before_tf(direct):
 
 def test_unresolved_panel_is_kept_and_reported():
     """A kink never chops: its panel is halved down to the depth cap, kept,
-    and reported by a tail above 1; the run goes on."""
+    and reported by a tail above 1 and in ``table_unresolved``; the run
+    goes on."""
     zero = np.zeros((2, 2), dtype=complex)
     driver = lambda t: (np.array([1.0 + abs(t - 0.3), 2.0]), (zero, zero))
     q, acc = evolve_Q(driver, 0.0, 1.0, tol=1e-10)
     assert q.meta["table_tail"] > 1.0
+    assert q.meta["table_unresolved"] >= 1
     # int_0^1 (1 + |t - 0.3|) dt = 1 + (0.3^2 + 0.7^2) / 2; the stepper
     # itself errs by 1.5e-8 here on the direct driver, the table by 1e-8
     assert abs(acc.log_phase[0] - 1.29j) < 1e-7
+
+
+def test_meta_times_the_table_and_the_stepper():
+    """``table_s`` and ``stepper_s`` are wall times inside the call."""
+    for evolve in (evolve_Q, evolve_U):
+        start = time.perf_counter()
+        out = evolve(probe_driver(4), 0.0, 0.5, tol=1e-8)
+        wall = time.perf_counter() - start
+        meta = (out[0] if evolve is evolve_Q else out).meta
+        assert meta["table_s"] >= 0.0 and meta["stepper_s"] >= 0.0
+        assert meta["table_s"] + meta["stepper_s"] <= wall
 
 
 def test_standard_chop_cases():

@@ -3,8 +3,8 @@
 The tracer wraps bogoflow's public functions by name from outside the
 program, so an API change can break ``perfbench/run.py --trace 1`` without
 failing any library test.  One traced stencil driver call catches that, and
-one traced default-path call on a finite-difference family counts its
-single eigensolve.
+one traced default-path call on a Galerkin family counts its single
+eigensolve.
 """
 
 import importlib

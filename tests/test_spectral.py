@@ -11,16 +11,19 @@ import bogoflow
 from bogoflow import (BoundarySpec, Domain, SyncSpacetime, align_basis,
                       flrw_torus, instantaneous_basis, orthonormality_residual,
                       regularize_zero_mode, static_spacetime)
+from bogoflow.coupling import InstantaneousFamily
 from bogoflow.errors import (DegeneracyMismatch, InvalidArgument,
-                             NegativeEigenvalue, ZeroMode)
+                             NegativeEigenvalue, UnresolvedSlice, ZeroMode)
 from bogoflow.spectral import (_clusters, _combine, apply_operator,
-                               fd_operator_1d)
+                               galerkin_pencil)
 
 from conftest import make_operator
+from fd_reference import fd_omegas
 
 
-def as_fd(st):
-    """Hide the diagonal-family tag so the FD solver path is exercised."""
+def as_general(st):
+    """Hide the diagonal-family tag so the Galerkin solver path is
+    exercised."""
     return replace(st, diag_scales=None, diag_scales_dt=None)
 
 
@@ -41,25 +44,92 @@ def test_box_frequency_value(unit_box):
 
 
 def test_fd_matches_analytic_torus(long_torus):
-    op = make_operator(long_torus, fd_points=2048)
-    b_fd = instantaneous_basis(op, as_fd(long_torus), 0.0, 9)
+    """The finite-difference oracle at 2048 points against the analytic
+    torus frequencies."""
+    op = make_operator(long_torus)
+    w_fd = fd_omegas(op, long_torus, 0.0, 9, 2048)
     b_an = instantaneous_basis(op, long_torus, 0.0, 9)
-    rel = np.abs(np.sort(b_fd.omegas ** 2) - np.sort(b_an.omegas ** 2)) \
+    rel = np.abs(w_fd ** 2 - np.sort(b_an.omegas ** 2)) \
         / np.sort(b_an.omegas ** 2)
     assert rel.max() < 1e-6
 
 
 def test_fd_second_order_convergence(long_torus):
+    """The finite-difference oracle converges at O(dx^2) on the torus."""
     errs = []
-    exact = np.sort(instantaneous_basis(make_operator(long_torus),
-                                        long_torus, 0.0, 5).omegas ** 2)
+    op = make_operator(long_torus)
+    exact = np.sort(instantaneous_basis(op, long_torus, 0.0, 5).omegas ** 2)
     for n in (256, 512, 1024):
-        op = make_operator(long_torus, fd_points=n)
-        b = instantaneous_basis(op, as_fd(long_torus), 0.0, 5)
-        errs.append(np.max(np.abs(np.sort(b.omegas ** 2) - exact) / exact))
+        w = fd_omegas(op, long_torus, 0.0, 5, n)
+        errs.append(np.max(np.abs(w ** 2 - exact) / exact))
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
     assert 3.5 < r1 < 4.5 and 3.5 < r2 < 4.5
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "torus"])
+def test_galerkin_matches_analytic_uniform(kind):
+    """On a uniform metric h_xx = 1.7 the Galerkin frequencies are the
+    analytic ones to 1e-12 relative in omega^2."""
+    periodic = kind == "torus"
+    wall = BoundarySpec("none" if periodic else kind)
+    st = static_spacetime(Domain((1.3,), (periodic,)), metric=[1.7],
+                          mass=1.0, boundary=wall)
+    op = make_operator(st)
+    exact = instantaneous_basis(op, st, 0.0, 9).omegas ** 2
+    got = instantaneous_basis(op, as_general(st), 0.0, 9).omegas ** 2
+    assert np.max(np.abs(got - np.sort(exact)) / np.sort(exact)) < 1e-12
+
+
+def test_fd_oracle_converges_to_galerkin_at_second_order():
+    """On the x-dependent slice of the 1D probe metric the finite-difference
+    oracle approaches the Galerkin frequencies at O(dx^2)."""
+    st = _probe_slice("dirichlet")
+    op = make_operator(st)
+    galerkin = instantaneous_basis(op, st, 0.3, 5).omegas
+    errs = [np.max(np.abs(fd_omegas(op, st, 0.3, 5, n) ** 2 - galerkin ** 2)
+                   / galerkin ** 2) for n in (512, 1024, 2048)]
+    for coarse, fine in zip(errs[:-1], errs[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_galerkin_size_resolves_the_probe():
+    """At the size a family picks, omega on the 1D probe metric is within
+    1e-11 of a solve at twice that size, across the probe's period."""
+    for kind in ("dirichlet", "neumann", "none"):
+        st = _probe_slice(kind)
+        op = make_operator(st)
+        for n in (4, 16, 64):
+            fam = InstantaneousFamily(op, st, n)
+            for t in (0.0, 0.13, 0.26, 0.4):
+                got = fam.solve(t).omegas
+                ref = instantaneous_basis(op, st, t, n,
+                                          size=2 * fam.size + 1).omegas
+                assert np.max(np.abs(got / ref - 1.0)) <= 1e-11
+
+
+def test_unresolved_slice_raises_and_a_family_grows():
+    """A size that does not resolve a slice raises UnresolvedSlice.  A
+    family whose reference slice is flat picks a small size there; at a
+    slice that needs more it picks again and keeps the larger size, and
+    its reference modes lift to it exactly."""
+    st = _probe_slice("none", amplitude=0.3)
+    op = make_operator(st)
+    with pytest.raises(UnresolvedSlice):
+        instantaneous_basis(op, st, 0.26, 4, size=17)
+    fam = InstantaneousFamily(op, st, 4)
+    small = fam.size
+    basis = fam(0.26)
+    assert fam.size > small == fam.reference.modes[0].rule.size
+    assert basis.modes[0].rule.size == fam.size
+    ref = fam.reference.modes[0]
+    lifted = ref.lifted(basis.modes[0].rule)
+    pts = np.linspace(0.0, 1.0, 7)
+    vals, _ = lifted.rule.tables(pts)
+    small_vals, _ = ref.rule.tables(pts)
+    assert np.max(np.abs(vals @ lifted.coef - small_vals @ ref.coef)) \
+        <= 1e-14 * np.max(np.abs(ref.values))
+    assert orthonormality_residual(basis) < 1e-12
 
 
 def test_orthonormality_residuals(long_torus, unit_box):
@@ -67,57 +137,82 @@ def test_orthonormality_residuals(long_torus, unit_box):
     assert orthonormality_residual(b_t) < 1e-12
     b_b = instantaneous_basis(make_operator(unit_box), unit_box, 0.0, 6)
     assert orthonormality_residual(b_b) < 1e-12
-    op = make_operator(long_torus, fd_points=2048)
-    b_fd = instantaneous_basis(op, as_fd(long_torus), 0.0, 7)
-    assert orthonormality_residual(b_fd) < 1e-12
+    b_g = instantaneous_basis(make_operator(long_torus), as_general(long_torus),
+                              0.0, 7)
+    assert orthonormality_residual(b_g) < 1e-12
 
 
-def _inhomogeneous_slice(kind):
-    """1D slice with h_xx = 1 + 0.3 sin^2(2 pi x) + 0.1 x (1 - x)."""
+def _probe_slice(kind, amplitude=0.05):
+    """The 1D probe metric h_xx = 1 + a sin(k x) sin(6t), mass 1, on [0, 1];
+    k = pi between walls, 2 pi on the torus (``kind`` "none")."""
+    k = 2.0 * np.pi if kind == "none" else np.pi
+
+    def h(t, pts):
+        x = np.asarray(pts, dtype=float)[:, 0]
+        return (1.0 + amplitude * np.sin(k * x) * np.sin(6 * t))[:, None, None]
+
+    def h_dot(t, pts):
+        x = np.asarray(pts, dtype=float)[:, 0]
+        return (6 * amplitude * np.sin(k * x) * np.cos(6 * t))[:, None, None]
+
+    return SyncSpacetime(Domain((1.0,), (kind == "none",)), h, h_dot,
+                         mass=1.0, boundary=BoundarySpec(kind))
+
+
+def _inhomogeneous_slice(kind, bump=None):
+    """1D slice with h_xx = 1 + 0.3 sin^2(2 pi x) + 0.1 b(x), where the bump
+    b is x (1 - x) between walls and its smooth periodic cousin
+    sin^2(pi x) / 4 on the torus; x (1 - x) has a kink there."""
+    periodic = kind == "none"
+    if bump is None:
+        bump = ((lambda x: 0.25 * np.sin(np.pi * x) ** 2) if periodic
+                else (lambda x: x * (1.0 - x)))
+
     def h(t, pts):
         x = np.asarray(pts, dtype=float)[:, 0]
         return (1.0 + 0.3 * np.sin(2 * np.pi * x) ** 2
-                + 0.1 * x * (1.0 - x))[:, None, None]
+                + 0.1 * bump(x))[:, None, None]
 
     def h_dot(t, pts):
         return np.zeros((len(pts), 1, 1))
 
-    periodic = kind == "none"
     gamma = (lambda x: 1.5) if kind == "robin" else None
     return SyncSpacetime(Domain((1.0,), (periodic,)), h, h_dot, mass=1.0,
                          boundary=BoundarySpec(kind, robin_gamma=gamma))
 
 
+def test_kinked_torus_metric_is_unresolved():
+    """x (1 - x) wrapped onto the torus has a kink at x = 0, so the modes'
+    Fourier coefficients fall only algebraically: no basis size resolves
+    them, and the solve says so instead of returning them."""
+    st = _inhomogeneous_slice("none", bump=lambda x: x * (1.0 - x))
+    with pytest.raises(UnresolvedSlice):
+        instantaneous_basis(make_operator(st), st, 0.0, 6)
+
+
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "none"])
 def test_fd_gram_is_eigenproblem_inner_product(kind):
+    """Galerkin modes solve their pencil K c = w^2 M c, and their Grams are
+    the pencil's inner product c^T M c on the rule's nodes and weights."""
     st = _inhomogeneous_slice(kind)
-    op = make_operator(st, fd_points=512)
+    op = make_operator(st)
     basis = instantaneous_basis(op, st, 0.0, 6)
-    x, main, off, mass = fd_operator_1d(op, st, 0.0)
-    # Dirichlet modes carry the zero end nodes that the eigenproblem drops
-    nodes = slice(1, -1) if kind == "dirichlet" else slice(None)
-    V = np.array([m.values[nodes] for m in basis.modes])
+    rule = basis.modes[0].rule
+    K, M = galerkin_pencil(op, st, 0.0, rule)
+    C = np.array([m.coef for m in basis.modes])
+    V = np.array([m.values for m in basis.modes])
+    assert np.array_equal(V, C @ rule.phi.T)
+    for w, c in zip(basis.omegas, C):
+        res = np.abs(K @ c - w ** 2 * M @ c)
+        assert np.max(res) <= 1e-12 * np.max(np.abs(K) @ np.abs(c))
 
-    # the bands are the eigenproblem: K phi = w^2 diag(mass) phi, with
-    # off[j] = K[j, j+1] and, on a torus, off[-1] = K[n-1, 0]
-    n = len(x)
-    assert len(main) == len(mass) == n
-    assert len(off) == (n if kind == "none" else n - 1)
-    K = np.diag(main)
-    rows = np.arange(len(off))
-    K[rows, (rows + 1) % n] = K[(rows + 1) % n, rows] = off
-    for w, v in zip(basis.omegas, V):
-        # relative to the size of the summed terms: K phi is a small
-        # difference of O(1/dx) entries
-        res = np.abs(K @ v - w ** 2 * mass * v)
-        assert np.max(res) <= 1e-10 * np.max(np.abs(K) @ np.abs(v))
-
+    mass = rule.weights * st.sqrt_det_h(0.0, rule.x[:, None])
     for conj in (True, False):
-        ref = (V * mass) @ (V.conj() if conj else V).T
+        ref = C @ M @ (C.conj() if conj else C).T
         got = basis.gram(conj=conj)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     weighted = basis.gram(weight=lambda pts: 1.0 + pts[:, 0])
-    ref = (V * mass * (1.0 + x)) @ V.conj().T
+    ref = (V * mass * (1.0 + rule.x)) @ V.conj().T
     assert np.max(np.abs(weighted - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert orthonormality_residual(basis) < 1e-12
     al = align_basis(basis, instantaneous_basis(op, st, 0.0, 6))
@@ -126,22 +221,29 @@ def test_fd_gram_is_eigenproblem_inner_product(kind):
 
 def test_gram_rejects_mixed_grid_and_separable_modes(long_torus):
     b_an = instantaneous_basis(make_operator(long_torus), long_torus, 0.0, 3)
-    b_fd = instantaneous_basis(make_operator(long_torus), as_fd(long_torus),
-                               0.0, 3)
+    b_g = instantaneous_basis(make_operator(long_torus), as_general(long_torus),
+                              0.0, 3)
     with pytest.raises(InvalidArgument):
-        b_fd.context.gram(b_fd.modes, b_an.modes)
-    coarse = instantaneous_basis(make_operator(long_torus, fd_points=512),
-                                 as_fd(long_torus), 0.0, 3)
+        b_g.context.gram(b_g.modes, b_an.modes)
+    # nodal modes of another size lift to the larger basis; of another
+    # kind they do not
+    size = b_g.modes[0].rule.size
+    fine = instantaneous_basis(make_operator(long_torus), as_general(long_torus),
+                               0.0, 3, size=2 * size + 1)
+    ctx = b_g.context
+    lifted = [m.lifted(fine.modes[0].rule) for m in b_g.modes]
+    assert np.array_equal(ctx.gram(b_g.modes, fine.modes),
+                          ctx.gram(lifted, fine.modes))
+    st_box = static_spacetime(Domain((1000.0,), (False,)), mass=0.1,
+                              boundary=BoundarySpec("robin",
+                                                    robin_gamma=lambda x: 1.0))
+    b_box = instantaneous_basis(make_operator(st_box), st_box, 0.0, 3)
     with pytest.raises(InvalidArgument):
-        b_fd.context.gram(b_fd.modes, coarse.modes)
-    # a grid of the same size elsewhere, after a Gram cached the weights
-    ctx = b_fd.context
-    ctx.gram(b_fd.modes, b_fd.modes)
-    shifted = [replace(m, x=m.x + 1.0) for m in b_fd.modes]
-    with pytest.raises(InvalidArgument):
-        ctx.gram(b_fd.modes, shifted)
-    fresh = type(ctx)(ctx.spacetime, ctx.t).gram(shifted, shifted)
-    assert np.array_equal(ctx.gram(shifted, shifted), fresh)
+        ctx.gram(b_g.modes, b_box.modes)
+    # the weights cached for one rule are not reused on another
+    ctx.gram(b_g.modes, b_g.modes)
+    fresh = type(ctx)(ctx.spacetime, ctx.t).gram(fine.modes, fine.modes)
+    assert np.array_equal(ctx.gram(fine.modes, fine.modes), fresh)
 
 
 def test_callable_weight_gram_of_separable_modes(unit_torus):
@@ -189,7 +291,7 @@ def test_negative_robin_gives_negative_eigenvalue():
     st = static_spacetime(Domain((1.0,), (False,)),
                           boundary=BoundarySpec("robin",
                                                 robin_gamma=lambda x: -5.0))
-    op = make_operator(st, fd_points=600)
+    op = make_operator(st)
     with pytest.raises(NegativeEigenvalue):
         instantaneous_basis(op, st, 0.0, 2)
 
@@ -214,24 +316,23 @@ def test_robin_fd_against_transcendental_roots():
     for a, b, fa, fb in zip(wgrid[:-1], wgrid[1:], vals[:-1], vals[1:]):
         if fa * fb < 0:
             roots.append(brentq(right_end, a, b))
-    op = make_operator(st, fd_points=2000)
-    basis = instantaneous_basis(op, st, 0.0, 3)
-    for w_fd, w_ex in zip(basis.omegas, roots[:3]):
-        assert abs(w_fd - w_ex) <= 5e-5 * w_ex
-    # boundary condition holds to discretization order: u'(0) = g u(0)
-    dx = L / 2000
+    basis = instantaneous_basis(make_operator(st), st, 0.0, 3)
+    for w_g, w_ex in zip(basis.omegas, roots[:3]):
+        assert abs(w_g - w_ex) <= 1e-12 * w_ex
+    # the natural boundary condition holds to the basis' resolution:
+    # u'(0) = g u(0), u'(L) = -g u(L)
     for mode in basis.modes:
-        v = mode.values.real
-        left = (-1.5 * v[0] + 2 * v[1] - 0.5 * v[2]) / dx
-        scale = np.max(np.abs(v)) / dx
-        assert abs(left - g * v[0]) <= 100 * dx ** 2 * scale
+        vals, slopes = mode.rule.tables(np.array([0.0, L]))
+        u, du = vals @ mode.coef, slopes @ mode.coef
+        scale = np.max(np.abs(mode.values)) * basis.omegas[-1]
+        assert abs(du[0] - g * u[0]) <= 1e-9 * scale
+        assert abs(du[1] + g * u[1]) <= 1e-9 * scale
 
 
 def _uniform_dirichlet_fd_basis(scale):
     st = static_spacetime(Domain((1.0,), (False,)), metric=[scale], mass=1.0,
                           boundary=BoundarySpec("dirichlet"))
-    return instantaneous_basis(make_operator(st, fd_points=1024), as_fd(st),
-                               0.0, 6)
+    return instantaneous_basis(make_operator(st), as_general(st), 0.0, 6)
 
 
 def test_fd_mode_sign_is_not_decided_by_rounding():
@@ -252,24 +353,23 @@ def test_fd_mode_sign_is_not_decided_by_rounding():
 
 
 def test_dirichlet_boundary_exact_and_neumann_to_order():
+    """Dirichlet modes vanish at the walls exactly; Neumann modes, whose
+    condition is natural, have zero slope there to the basis' resolution."""
+    ends = np.array([0.0, 1.0])
     st_d = static_spacetime(Domain((1.0,), (False,)),
                             boundary=BoundarySpec("dirichlet"))
-    b_d = instantaneous_basis(make_operator(st_d, fd_points=256), as_fd(st_d),
-                              0.0, 3)
+    b_d = instantaneous_basis(make_operator(st_d), as_general(st_d), 0.0, 3)
     for mode in b_d.modes:
-        assert mode.values[0] == 0.0 and mode.values[-1] == 0.0
+        vals, _ = mode.rule.tables(ends)
+        assert not np.any(vals @ mode.coef)
 
     st_n = static_spacetime(Domain((1.0,), (False,), ), metric=None, mass=0.3,
                             boundary=BoundarySpec("neumann"))
-    n_grid = 512
-    b_n = instantaneous_basis(make_operator(st_n, fd_points=n_grid),
-                              as_fd(st_n), 0.0, 3)
-    dx = 1.0 / n_grid
+    b_n = instantaneous_basis(make_operator(st_n), as_general(st_n), 0.0, 3)
     for mode in b_n.modes:
-        v = mode.values.real
-        left = (-1.5 * v[0] + 2 * v[1] - 0.5 * v[2]) / dx
-        scale = np.max(np.abs(v)) / dx
-        assert abs(left) <= 50 * dx ** 2 * scale
+        _, slopes = mode.rule.tables(ends)
+        scale = np.max(np.abs(mode.values)) * b_n.omegas[-1]
+        assert np.max(np.abs(slopes @ mode.coef)) <= 1e-9 * scale
 
 
 def test_operator_self_adjoint_on_random_smooth_pairs(unit_box, rng):
@@ -315,9 +415,9 @@ def test_align_preserves_torus_labels():
 def test_align_restores_sign_flip():
     a = lambda t: 1.0 + 0.05 * t
     st = flrw_torus(a, lambda t: 0.05, length=10.0, mass=0.4)
-    op = make_operator(st, fd_points=400)
-    b0 = instantaneous_basis(op, as_fd(st), 0.0, 5)
-    b1 = instantaneous_basis(op, as_fd(st), 0.01, 5)
+    op = make_operator(st)
+    b0 = instantaneous_basis(op, as_general(st), 0.0, 5)
+    b1 = instantaneous_basis(op, as_general(st), 0.01, 5)
     flipped = list(b1.modes)
     flipped[2] = flipped[2].scaled(-1.0)
     al = align_basis(b0, replace(b1, modes=tuple(flipped)))
@@ -399,12 +499,13 @@ def rotated_pairs(basis, rng):
 @pytest.mark.parametrize("grid", [False, True])
 def test_align_matches_per_pair_gram_schmidt(rng, grid):
     """Gram-Schmidt on coefficient vectors in one Gram per cluster agrees
-    with the per-pair loop on a 101-mode torus and a 5-mode FD torus."""
+    with the per-pair loop on a 101-mode torus and a 5-mode Galerkin
+    torus."""
     a = lambda t: np.sqrt(2.5 + 1.5 * np.tanh(t))
     st = flrw_torus(a, length=1.0, mass=1.0)
     n_modes = 101
     if grid:
-        st, n_modes = as_fd(st), 5
+        st, n_modes = as_general(st), 5
     op = make_operator(st)
     prev = instantaneous_basis(op, st, 0.3, n_modes)
     fresh = rotated_pairs(instantaneous_basis(op, st, 0.45, n_modes), rng)
@@ -421,34 +522,69 @@ def test_align_matches_per_pair_gram_schmidt(rng, grid):
 
 
 def test_requested_too_many_modes(long_torus):
-    op = make_operator(long_torus, fd_points=64)
+    op = make_operator(long_torus)
     with pytest.raises(InvalidArgument):
-        instantaneous_basis(op, as_fd(long_torus), 0.0, 64)
+        instantaneous_basis(op, as_general(long_torus), 0.0, 64, size=65)
     with pytest.raises(InvalidArgument):
         instantaneous_basis(op, long_torus, 0.0, 0)
 
 
-def test_import_loads_no_scipy():
-    """scipy is imported only where a solve calls it (the FD eigensolves,
-    the Gaussian-envelope window), so importing the package, its scenarios
-    and its command line loads no scipy module at all."""
+def run_python(code, *args):
+    """stdout of ``code`` run by a fresh interpreter on this bogoflow."""
     root = os.path.dirname(os.path.dirname(bogoflow.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p)
-    code = ("import sys, bogoflow, bogoflow.scenarios, bogoflow.cli; "
-            "print(' '.join(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == ""
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, check=True, capture_output=True,
+                          text=True).stdout
+
+
+SCIPY_MODULES = ("print(' '.join(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported only where a solve calls it (the Gaussian-envelope
+    window), so importing the package, its scenarios and its command line
+    loads no scipy module at all."""
+    code = "import sys, bogoflow, bogoflow.scenarios, bogoflow.cli\n"
+    assert run_python(code + SCIPY_MODULES).strip() == ""
+
+
+GENERAL_RUN = """
+import sys
+import numpy as np
+from bogoflow import BoundarySpec, Domain, SyncSpacetime
+from bogoflow.coupling import InstantaneousFamily, quadrature_driver
+from bogoflow.evolution import evolve_Q
+from bogoflow.spectral import OperatorSpec
+
+def metric(fn):
+    return lambda t, pts: fn(t, np.asarray(pts)[:, 0])[:, None, None]
+
+st = SyncSpacetime(
+    Domain((1.0,), (False,)),
+    metric(lambda t, x: 1.0 + 0.05 * np.sin(np.pi * x) * np.sin(6 * t)),
+    metric(lambda t, x: 0.3 * np.sin(np.pi * x) * np.cos(6 * t)),
+    mass=1.0, boundary=BoundarySpec("dirichlet"))
+fam = InstantaneousFamily(OperatorSpec(boundary=st.boundary), st, 4)
+q, _ = evolve_Q(quadrature_driver(st, fam), 0.0, 0.5, tol=1e-8)
+assert q.meta["identity_residual"] < 1e-6
+"""
+
+
+def test_general_path_loads_no_scipy():
+    """An x-dependent 1D Dirichlet family evolved through the default
+    quadrature driver and evolve_Q runs on numpy alone."""
+    assert run_python(GENERAL_RUN + SCIPY_MODULES).strip() == ""
 
 
 def test_periodic_fd_basis_is_reproducible(unit_torus):
-    """A torus slice has degenerate +-k pairs, whose basis the sparse
-    eigensolver picks from its start vector; that vector is fixed, so two
-    solves of one slice are bit-identical."""
-    op, st = make_operator(unit_torus), as_fd(unit_torus)
+    """A torus slice has degenerate +-k pairs, whose basis within each pair
+    the dense eigensolver picks; it keeps no state, so two solves of one
+    slice are bit-identical."""
+    op, st = make_operator(unit_torus), as_general(unit_torus)
     first = instantaneous_basis(op, st, 0.0, 5)
     second = instantaneous_basis(op, st, 0.0, 5)
     assert np.array_equal(first.omegas, second.omegas)
@@ -485,11 +621,5 @@ print(q.beta.tobytes().hex())
 def test_periodic_fd_evolution_is_reproducible_across_processes():
     """A torus run gives the same Q in two processes, whatever other slices
     each solved before it."""
-    root = os.path.dirname(os.path.dirname(bogoflow.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (root, env.get("PYTHONPATH")) if p)
-    outs = [subprocess.run([sys.executable, "-c", TORUS_RUN, str(extra)],
-                           env=env, check=True, capture_output=True,
-                           text=True).stdout for extra in (0, 2)]
+    outs = [run_python(TORUS_RUN, extra) for extra in (0, 2)]
     assert outs[0] and outs[0] == outs[1]
