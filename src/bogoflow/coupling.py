@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, SymmetryViolation, UnresolvedSlice
+from .errors import InvalidArgument, SymmetryViolation
 from .geometry import SyncSpacetime, q_factor, rbar_factor
 from .spectral import (ModeBasis, NodalMode, OperatorSpec, _clusters,
                        _combine, align_basis, galerkin_pencil,
@@ -203,12 +203,12 @@ def coupling_matrices(basis: ModeBasis, derivs: BasisDerivatives,
 class InstantaneousFamily:
     """ModeBasis family from repeated eigensolves with a fixed label set.
 
-    A Galerkin family solves each slice on ``size`` basis functions, the
-    size :func:`instantaneous_basis` picks at the reference slice.  A slice
-    that this size does not resolve is solved again at the size it picks
-    there, which the family keeps from then on: the bases are nested, so
-    its earlier modes are the same functions on the larger basis
-    (:meth:`~bogoflow.spectral.NodalMode.lifted`).
+    A Galerkin family's ``size`` is the basis size that
+    :func:`instantaneous_basis` picks at the reference slice (0 for
+    separable modes).  Every slice picks its own size in the same way, from
+    ``size`` on rather than from the smallest, so a slice's modes depend on
+    that slice alone; the bases are nested, so modes of different sizes
+    lift to one (:meth:`~bogoflow.spectral.NodalMode.lifted`).
     """
 
     def __init__(self, op: OperatorSpec, st: SyncSpacetime, n_modes: int,
@@ -218,17 +218,12 @@ class InstantaneousFamily:
         self.n_modes = n_modes
         self.reference = instantaneous_basis(op, st, t_ref, n_modes)
         first = self.reference.modes[0]
-        self.size = first.rule.size if isinstance(first, NodalMode) else None
+        self.size = first.rule.size if isinstance(first, NodalMode) else 0
 
     def solve(self, t: float) -> ModeBasis:
         """The slice's eigenbasis at t as the solver returns it, unaligned."""
-        try:
-            return instantaneous_basis(self.op, self.st, t, self.n_modes,
-                                       self.size)
-        except UnresolvedSlice:
-            basis = instantaneous_basis(self.op, self.st, t, self.n_modes)
-            self.size = max(self.size, basis.modes[0].rule.size)
-            return basis
+        return instantaneous_basis(self.op, self.st, t, self.n_modes,
+                                   self.size)
 
     def __call__(self, t: float) -> ModeBasis:
         return align_basis(self.reference, self.solve(t))

@@ -29,10 +29,6 @@ class ZeroMode(BogoflowError):
     """
 
 
-class UnresolvedSlice(BogoflowError):
-    """A slice's Galerkin eigenvectors do not chop on the basis in use."""
-
-
 class DegeneracyMismatch(BogoflowError):
     """Degenerate eigenspace dimensions changed between two time slices."""
 
@@ -67,3 +63,7 @@ class WindowViolation(UserWarning):
 
 class AsymptoteNotReached(UserWarning):
     """A scenario curve has not plateaued at the end of the integration range."""
+
+
+class UnresolvedSlice(UserWarning):
+    """A slice's Galerkin modes do not chop on the largest basis size."""

@@ -17,6 +17,7 @@ Galerkin bases are orthonormal to rounding.
 
 import functools
 import itertools
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -37,9 +38,8 @@ _SIGN_TIE_RTOL = 1e-6
 #: Galerkin basis sizes tried in turn on a 1D slice (odd: 1 + 2j on a torus)
 _SIZES = (17, 21, 25, 33, 41, 49, 65, 81, 97, 129, 161, 193, 257, 321, 385,
           513)
-#: relative accuracy to which the kept eigenvectors' coefficients chop at
-#: the size a slice picks, and at any size it is given
-_PICK_TOL, _CHOP_TOL = 1e-13, 1e-11
+#: relative accuracy to which the kept eigenvectors' coefficients must chop
+_CHOP_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,9 @@ class ModeBasis:
 
     Modes are stored in label order; at standalone construction that order
     is ascending in frequency, and :func:`align_basis` preserves it across
-    slices so degeneracy crossings never permute columns.
+    slices so degeneracy crossings never permute columns.  ``tail`` is the
+    relative size of the last coefficients of Galerkin modes
+    (:func:`instantaneous_basis`), 0 for separable ones.
     """
 
     t: float
@@ -326,6 +328,7 @@ class ModeBasis:
     modes: tuple
     labels: tuple
     spacetime: SyncSpacetime
+    tail: float = 0.0
 
     def __post_init__(self):
         if len(self.modes) != len(self.labels) or len(self.modes) != len(self.omegas):
@@ -354,8 +357,8 @@ class OperatorSpec:
     """Slice operator description: metric Laplacian + xi*R_h + m^2 (+ shift).
 
     ``mass_shift_sq`` implements zero-mode regularization (m^2 -> m^2 + dm^2).
-    The resolution of a 1D Galerkin solve is chosen per slice or per
-    family (:func:`instantaneous_basis`), not here.
+    The resolution of a 1D Galerkin solve is chosen per slice
+    (:func:`instantaneous_basis`), not here.
     """
 
     boundary: BoundarySpec = field(default_factory=BoundarySpec)
@@ -662,20 +665,9 @@ def galerkin_pencil(op: OperatorSpec, st: SyncSpacetime, t: float,
     return K, M
 
 
-def _resolved(rule: GalerkinRule, coefs: np.ndarray, tol: float) -> bool:
-    """Whether the chop test (:func:`quadrature._standard_chop`) at
-    relative ``tol`` cuts the coefficients of the columns of ``coefs``
-    before their end, taken as one series: by degree, the largest of the
-    columns' coefficients, each relative to its column's largest."""
-    tails = np.array([rule.coefficient_tail(col) for col in coefs.T])
-    series = np.max(tails / tails.max(axis=1, keepdims=True), axis=0)
-    return _standard_chop(series, tol) < len(series)
-
-
 def _galerkin_solve(op: OperatorSpec, st: SyncSpacetime, t: float,
-                    n_modes: int, rule: GalerkinRule, tol: float) -> ModeBasis:
-    """The lowest ``n_modes`` eigenpairs of the slice's pencil on ``rule``,
-    whose eigenvectors must chop at ``tol``."""
+                    n_modes: int, rule: GalerkinRule) -> ModeBasis:
+    """The lowest ``n_modes`` eigenpairs of the slice's pencil on ``rule``."""
     if n_modes > rule.size - 2:
         raise InvalidArgument(
             f"requested {n_modes} modes of a {rule.size}-function basis")
@@ -704,14 +696,9 @@ def _galerkin_solve(op: OperatorSpec, st: SyncSpacetime, t: float,
     coefs = coefs / np.sqrt(np.einsum('ij,ij->j', coefs, M @ coefs))
     if abs(vals[0]) <= _ZERO_TOL * max(vals[-1], 1.0):
         raise ZeroMode(f"omega^2 = {vals[0]:.3e}; consider a mass shift")
-    if not _resolved(rule, coefs, tol):
-        raise UnresolvedSlice(
-            f"{rule.size} basis functions do not resolve the lowest "
-            f"{n_modes} modes at t={t:.6g}; pass a larger size")
-
     omegas = np.sqrt(vals)
     # c^T M c = 1 -> rescale to 1/(2w); one row per mode
-    coefs = (coefs / np.sqrt(2.0 * omegas)).T
+    coefs = np.ascontiguousarray((coefs / np.sqrt(2.0 * omegas)).T)
     values = coefs @ rule.phi.T
     # the first near-maximal node of each mode is positive: on a
     # mirror-symmetric slice the maxima of opposite lobes agree to rounding,
@@ -728,40 +715,57 @@ def _galerkin_solve(op: OperatorSpec, st: SyncSpacetime, t: float,
                      spacetime=st)
 
 
+def _chop_series(basis: ModeBasis) -> np.ndarray:
+    """The coefficients of a Galerkin basis' modes as one series for the
+    chop test (:func:`quadrature._standard_chop`): by degree, the largest
+    of the modes' coefficients, each relative to its mode's largest."""
+    rule = basis.modes[0].rule
+    tails = np.array([rule.coefficient_tail(m.coef) for m in basis.modes])
+    return np.max(tails / tails.max(axis=1, keepdims=True), axis=0)
+
+
 def _galerkin_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
-                    n_modes: int, size: Optional[int]) -> ModeBasis:
-    """The Galerkin eigenbasis on ``size`` basis functions, whose kept
-    eigenvectors must chop at ``_CHOP_TOL``; or on the first of ``_SIZES``
-    from twice ``n_modes`` on where they chop at ``_PICK_TOL``, two digits
-    tighter, so that nearby slices stay resolved at that size."""
+                    n_modes: int, min_size: int) -> ModeBasis:
+    """The Galerkin eigenbasis on the first of ``_SIZES`` from ``min_size``
+    and twice ``n_modes`` on whose modes' coefficients chop at ``_CHOP_TOL``.
+    Where none does, as on a metric with a kink, whose coefficients fall
+    off only algebraically, it is the basis on the largest size, with an
+    :class:`~bogoflow.errors.UnresolvedSlice` warning.  Its ``tail`` is
+    the largest of the last size/8 (at least 3) terms of the chop series."""
     kind = ("fourier" if st.domain.periodic[0] else
             "dirichlet" if op.boundary.kind == "dirichlet" else "legendre")
     L = st.domain.lengths[0]
-    if size is not None:
-        return _galerkin_solve(op, st, t, n_modes,
-                               _galerkin_rule(kind, L, size), _CHOP_TOL)
-    for size in _SIZES:
-        if size >= 2 * n_modes:
-            try:
-                return _galerkin_solve(op, st, t, n_modes,
-                                       _galerkin_rule(kind, L, size),
-                                       _PICK_TOL)
-            except UnresolvedSlice:
-                continue
-    raise UnresolvedSlice(f"{_SIZES[-1]} basis functions do not resolve the "
-                          f"lowest {n_modes} modes at t={t:.6g}")
+    sizes = [size for size in _SIZES if size >= max(min_size, 2 * n_modes)]
+    if not sizes:
+        raise InvalidArgument(
+            f"requested {n_modes} modes on at least {min_size} basis "
+            f"functions; the largest basis holds {_SIZES[-1]}")
+    for size in sizes:
+        basis = _galerkin_solve(op, st, t, n_modes,
+                                _galerkin_rule(kind, L, size))
+        series = _chop_series(basis)
+        resolved = _standard_chop(series, _CHOP_TOL) < len(series)
+        if resolved:
+            break
+    tail = float(series[-max(3, len(series) // 8):].max())
+    if not resolved:
+        warnings.warn(f"{size} basis functions do not resolve the lowest "
+                      f"{n_modes} modes at t={t:.6g}: their coefficients "
+                      f"end at {tail:.1e} of their largest", UnresolvedSlice,
+                      stacklevel=3)
+    return replace(basis, tail=tail)
 
 
 def instantaneous_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
-                        n_modes: int, size: Optional[int] = None) -> ModeBasis:
+                        n_modes: int, min_size: int = 0) -> ModeBasis:
     """Lowest ``n_modes`` eigenpairs of the slice operator at time ``t``.
 
     Spatially constant diagonal metrics without Robin walls have separable
-    modes in closed form.  Other 1D slices take the Galerkin solve on
-    ``size`` basis functions, or with ``size=None`` on the first size whose
-    kept eigenvectors chop; its modes are :class:`NodalMode` and the size
-    is ``modes[0].rule.size``.  A solve whose eigenvectors do not chop at
-    ``size`` raises :class:`~bogoflow.errors.UnresolvedSlice`.
+    modes in closed form.  Other 1D slices take the Galerkin solve on the
+    smallest basis size, from ``min_size`` on, whose modes' coefficients
+    chop (:func:`_galerkin_basis`); its modes are :class:`NodalMode`, the
+    size is ``modes[0].rule.size``, and ``tail`` reports how far the
+    coefficients fell.
     """
     if n_modes < 1:
         raise InvalidArgument("n_modes must be at least 1")
@@ -770,7 +774,7 @@ def instantaneous_basis(op: OperatorSpec, st: SyncSpacetime, t: float,
     if analytic_ok:
         return _analytic_basis(op, st, t, n_modes)
     if st.dim == 1:
-        return _galerkin_basis(op, st, t, n_modes, size)
+        return _galerkin_basis(op, st, t, n_modes, min_size)
     raise InvalidArgument("no solver: analytic families cover diagonal "
                           "metrics, the Galerkin solver covers 1D")
 
@@ -869,7 +873,7 @@ def align_basis(prev: ModeBasis, next_basis: ModeBasis) -> ModeBasis:
         omegas.append(om)
     aligned = ModeBasis(t=next_basis.t, omegas=np.array(omegas),
                         modes=tuple(modes), labels=prev.labels,
-                        spacetime=next_basis.spacetime)
+                        spacetime=next_basis.spacetime, tail=next_basis.tail)
     aligned.__dict__["context"] = ctx      # the same slice: share its cache
     return aligned
 

@@ -108,7 +108,9 @@ def test_table_matches_direct_run_on_stencil_ramp(direct):
     assert difference(table, ref) <= 10 * tol
     meta = table[0].meta
     assert (meta["driver_calls"], meta["table_panels"]) == (17, 1)
-    assert meta["driver_calls"] < ref[0].meta["driver_calls"]
+    # the direct run makes 32 calls, so the floor of 17 bounds the ratio;
+    # half the direct calls, reachable on the 37 of FD slices, is not
+    assert meta["driver_calls"] <= 17 / 32 * ref[0].meta["driver_calls"]
     assert meta["table_unresolved"] == 0 and meta["table_tail"] <= 1.0
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from bogoflow import (BoundarySpec, Domain, SyncSpacetime, align_basis,
 from bogoflow.coupling import InstantaneousFamily
 from bogoflow.errors import (DegeneracyMismatch, InvalidArgument,
                              NegativeEigenvalue, UnresolvedSlice, ZeroMode)
-from bogoflow.spectral import (_clusters, _combine, apply_operator,
+from bogoflow.spectral import (_clusters, _combine, _galerkin_rule,
+                               _galerkin_solve, apply_operator,
                                galerkin_pencil)
 
 from conftest import make_operator
@@ -94,34 +96,39 @@ def test_fd_oracle_converges_to_galerkin_at_second_order():
 
 
 def test_galerkin_size_resolves_the_probe():
-    """At the size a family picks, omega on the 1D probe metric is within
-    1e-11 of a solve at twice that size, across the probe's period."""
+    """At the size a slice of a family picks, omega on the 1D probe metric
+    is within 1e-11 of a solve at twice that size, across the probe's
+    period."""
     for kind in ("dirichlet", "neumann", "none"):
         st = _probe_slice(kind)
         op = make_operator(st)
         for n in (4, 16, 64):
             fam = InstantaneousFamily(op, st, n)
             for t in (0.0, 0.13, 0.26, 0.4):
-                got = fam.solve(t).omegas
-                ref = instantaneous_basis(op, st, t, n,
-                                          size=2 * fam.size + 1).omegas
-                assert np.max(np.abs(got / ref - 1.0)) <= 1e-11
+                got = fam.solve(t)
+                rule = got.modes[0].rule
+                fine = _galerkin_rule(rule.kind, rule.length, 2 * rule.size + 1)
+                ref = _galerkin_solve(op, st, t, n, fine).omegas
+                assert np.max(np.abs(got.omegas / ref - 1.0)) <= 1e-11
 
 
-def test_unresolved_slice_raises_and_a_family_grows():
-    """A size that does not resolve a slice raises UnresolvedSlice.  A
-    family whose reference slice is flat picks a small size there; at a
-    slice that needs more it picks again and keeps the larger size, and
-    its reference modes lift to it exactly."""
+def test_family_slices_depend_on_the_slice_alone():
+    """A family whose reference slice is flat picks a small size there; a
+    slice that needs more picks a larger one, and the family's slices stay
+    bit-identical before and after that solve.  Its reference modes lift
+    to the larger basis exactly."""
     st = _probe_slice("none", amplitude=0.3)
     op = make_operator(st)
-    with pytest.raises(UnresolvedSlice):
-        instantaneous_basis(op, st, 0.26, 4, size=17)
     fam = InstantaneousFamily(op, st, 4)
-    small = fam.size
+    assert fam.size == fam.reference.modes[0].rule.size
+    before = [fam.solve(t) for t in (0.0, 0.05)]
     basis = fam(0.26)
-    assert fam.size > small == fam.reference.modes[0].rule.size
-    assert basis.modes[0].rule.size == fam.size
+    assert basis.modes[0].rule.size > fam.size
+    for old, t in zip(before, (0.0, 0.05)):
+        new = fam.solve(t)
+        assert np.array_equal(old.omegas, new.omegas)
+        for a, b in zip(old.modes, new.modes):
+            assert a.rule is b.rule and np.array_equal(a.coef, b.coef)
     ref = fam.reference.modes[0]
     lifted = ref.lifted(basis.modes[0].rule)
     pts = np.linspace(0.0, 1.0, 7)
@@ -159,35 +166,39 @@ def _probe_slice(kind, amplitude=0.05):
                          mass=1.0, boundary=BoundarySpec(kind))
 
 
-def _inhomogeneous_slice(kind, bump=None):
-    """1D slice with h_xx = 1 + 0.3 sin^2(2 pi x) + 0.1 b(x), where the bump
-    b is x (1 - x) between walls and its smooth periodic cousin
-    sin^2(pi x) / 4 on the torus; x (1 - x) has a kink there."""
-    periodic = kind == "none"
-    if bump is None:
-        bump = ((lambda x: 0.25 * np.sin(np.pi * x) ** 2) if periodic
-                else (lambda x: x * (1.0 - x)))
-
+def _inhomogeneous_slice(kind):
+    """1D slice with h_xx = 1 + 0.3 sin^2(2 pi x) + 0.1 x (1 - x); on the
+    torus x (1 - x) has a kink where the torus closes."""
     def h(t, pts):
         x = np.asarray(pts, dtype=float)[:, 0]
         return (1.0 + 0.3 * np.sin(2 * np.pi * x) ** 2
-                + 0.1 * bump(x))[:, None, None]
+                + 0.1 * x * (1.0 - x))[:, None, None]
 
     def h_dot(t, pts):
         return np.zeros((len(pts), 1, 1))
 
+    periodic = kind == "none"
     gamma = (lambda x: 1.5) if kind == "robin" else None
     return SyncSpacetime(Domain((1.0,), (periodic,)), h, h_dot, mass=1.0,
                          boundary=BoundarySpec(kind, robin_gamma=gamma))
 
 
-def test_kinked_torus_metric_is_unresolved():
-    """x (1 - x) wrapped onto the torus has a kink at x = 0, so the modes'
-    Fourier coefficients fall only algebraically: no basis size resolves
-    them, and the solve says so instead of returning them."""
-    st = _inhomogeneous_slice("none", bump=lambda x: x * (1.0 - x))
-    with pytest.raises(UnresolvedSlice):
-        instantaneous_basis(make_operator(st), st, 0.0, 6)
+def test_kinked_torus_metric_is_solved_and_reported():
+    """On the torus x (1 - x) has a kink, so the modes' Fourier coefficients
+    fall only algebraically and no basis size chops them.  The solve
+    returns the modes on the largest basis, warns, and reports their
+    tail; the finite-difference oracle approaches them at O(dx^2)."""
+    st = _inhomogeneous_slice("none")
+    op = make_operator(st)
+    with pytest.warns(UnresolvedSlice):
+        basis = instantaneous_basis(op, st, 0.0, 6)
+    assert basis.modes[0].rule.size == 513
+    assert 1e-10 < basis.tail < 1e-5
+    errs = [np.max(np.abs(fd_omegas(op, st, 0.0, 6, n) / basis.omegas - 1.0))
+            for n in (1024, 2048)]
+    assert 3.5 <= errs[0] / errs[1] <= 4.5
+    resolved = _inhomogeneous_slice("dirichlet")
+    assert instantaneous_basis(op, resolved, 0.0, 6).tail < 1e-13
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "none"])
@@ -196,12 +207,20 @@ def test_fd_gram_is_eigenproblem_inner_product(kind):
     the pencil's inner product c^T M c on the rule's nodes and weights."""
     st = _inhomogeneous_slice(kind)
     op = make_operator(st)
-    basis = instantaneous_basis(op, st, 0.0, 6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        basis = instantaneous_basis(op, st, 0.0, 6)
+        again = instantaneous_basis(op, st, 0.0, 6)
+    # the torus' kink leaves its coefficients unresolved
+    assert any(issubclass(w.category, UnresolvedSlice) for w in caught) \
+        == (kind == "none")
     rule = basis.modes[0].rule
     K, M = galerkin_pencil(op, st, 0.0, rule)
     C = np.array([m.coef for m in basis.modes])
     V = np.array([m.values for m in basis.modes])
-    assert np.array_equal(V, C @ rule.phi.T)
+    # real coefficients, expanded in real arithmetic
+    assert not C.imag.any()
+    assert np.array_equal(V, np.ascontiguousarray(C.real) @ rule.phi.T)
     for w, c in zip(basis.omegas, C):
         res = np.abs(K @ c - w ** 2 * M @ c)
         assert np.max(res) <= 1e-12 * np.max(np.abs(K) @ np.abs(c))
@@ -215,7 +234,7 @@ def test_fd_gram_is_eigenproblem_inner_product(kind):
     ref = (V * mass * (1.0 + rule.x)) @ V.conj().T
     assert np.max(np.abs(weighted - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert orthonormality_residual(basis) < 1e-12
-    al = align_basis(basis, instantaneous_basis(op, st, 0.0, 6))
+    al = align_basis(basis, again)
     assert orthonormality_residual(al) < 1e-12
 
 
@@ -227,9 +246,10 @@ def test_gram_rejects_mixed_grid_and_separable_modes(long_torus):
         b_g.context.gram(b_g.modes, b_an.modes)
     # nodal modes of another size lift to the larger basis; of another
     # kind they do not
-    size = b_g.modes[0].rule.size
-    fine = instantaneous_basis(make_operator(long_torus), as_general(long_torus),
-                               0.0, 3, size=2 * size + 1)
+    rule = b_g.modes[0].rule
+    fine = _galerkin_solve(make_operator(long_torus), as_general(long_torus),
+                           0.0, 3, _galerkin_rule(rule.kind, rule.length,
+                                                  2 * rule.size + 1))
     ctx = b_g.context
     lifted = [m.lifted(fine.modes[0].rule) for m in b_g.modes]
     assert np.array_equal(ctx.gram(b_g.modes, fine.modes),
@@ -524,7 +544,10 @@ def test_align_matches_per_pair_gram_schmidt(rng, grid):
 def test_requested_too_many_modes(long_torus):
     op = make_operator(long_torus)
     with pytest.raises(InvalidArgument):
-        instantaneous_basis(op, as_general(long_torus), 0.0, 64, size=65)
+        instantaneous_basis(op, as_general(long_torus), 0.0, 257)
+    rule = _galerkin_rule("fourier", 1000.0, 65)
+    with pytest.raises(InvalidArgument):
+        _galerkin_solve(op, as_general(long_torus), 0.0, 64, rule)
     with pytest.raises(InvalidArgument):
         instantaneous_basis(op, long_torus, 0.0, 0)
 
