@@ -432,13 +432,13 @@ def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     res = solve_dopri(rhs, t0, tf, y0, rtol=tol, atol=tol,
                       t_eval=t_eval, step_hook=hook)
     stepper_s = time.perf_counter() - start
+    meta = dict(res.stats(), **drive.stats(), tol=tol, table_s=table_s,
+                stepper_s=stepper_s)
 
+    # the blocks are views of res.y: each sample is held once
     def to_matrix(y):
-        A, B = blocks(y)
-        m = BogoliubovMatrix(A.copy(), B.copy())
-        m.meta.update(res.stats(), **drive.stats(), tol=tol,
-                      table_s=table_s, stepper_s=stepper_s,
-                      identity_residual=identity_residual(m))
+        m = BogoliubovMatrix(*blocks(y))
+        m.meta.update(meta, identity_residual=identity_residual(m))
         return m
 
     if t_eval is None:
@@ -485,14 +485,14 @@ def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     res = solve_dopri(rhs, t0, tf, y0, rtol=tol, atol=tol,
                       t_eval=t_eval, step_hook=hook)
     stepper_s = time.perf_counter() - start
+    meta = dict(res.stats(), **drive.stats(), tol=tol, table_s=table_s,
+                stepper_s=stepper_s)
 
+    # the blocks and phases are views of res.y: each sample is held once
     def to_pair(y):
-        Qa, Qb = blocks(y)
-        q = BogoliubovMatrix(Qa.copy(), Qb.copy())
-        q.meta.update(res.stats(), **drive.stats(), tol=tol,
-                      table_s=table_s, stepper_s=stepper_s,
-                      identity_residual=identity_residual(q))
-        return q, PhaseAccumulator(y[2 * nn:].copy())
+        q = BogoliubovMatrix(*blocks(y))
+        q.meta.update(meta, identity_residual=identity_residual(q))
+        return q, PhaseAccumulator(y[2 * nn:])
 
     if t_eval is None:
         return to_pair(res.y[-1])

@@ -8,8 +8,9 @@ steps follow the error controller alone: output samples are read from each
 step's quartic Dormand-Prince interpolant, so the sample grid changes
 neither the steps nor the final state.  A state of P rows is P independent
 systems stepped in one loop, with vector operations over the rows: each
-row keeps its own step size and acceptance, so the pairs of a scenario
-share one solve and each takes the steps it takes alone.
+row keeps its own tolerances, step size, acceptance and counts, and every
+operation on a row reads that row alone, so the pairs of a scenario share
+one solve and each row's results are bit for bit those of its solve alone.
 """
 
 from dataclasses import dataclass
@@ -28,9 +29,9 @@ DP_A = [
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    # the 5th-order weights: the last stage is taken at the step's result
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # difference between 5th- and embedded 4th-order weights
 DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                  -17253 / 339200, 22 / 525, -1 / 40])
@@ -59,6 +60,26 @@ MAX_FACTOR = 10.0
 def _rms(v):
     """Root-mean-square of each row."""
     return np.sqrt(np.add.reduce(np.abs(v) ** 2, axis=1) / v.shape[1])
+
+
+def _stage_sum(coef, stages):
+    """sum_i coef[i] k_i of each row, from ``stages``, the real view of
+    the k_i with shape (rows, 7, 2n).
+
+    One matrix-vector product per row: a row's sum then reads that row
+    alone, where one product over all rows would round each entry by its
+    position in the whole state.
+    """
+    return (coef @ stages[:, :len(coef)]).view(complex)
+
+
+def _per_row(tol, rows):
+    """A tolerance as a (rows, 1) column: one value, or one value per row."""
+    tol = np.asarray(tol, dtype=float)
+    if tol.ndim > 1 or (tol.ndim == 1 and tol.size != rows):
+        raise InvalidArgument(f"a tolerance needs one value or {rows} values, "
+                              f"one per row; got shape {tol.shape}")
+    return np.broadcast_to(tol.reshape(-1, 1), (rows, 1))
 
 
 # The step-size formulas below go row by row through Python floats, as a
@@ -91,31 +112,45 @@ def _step_factors(err):
 @dataclass
 class OdeResult:
     t: np.ndarray
-    y: np.ndarray          # shape (len(t), *y0.shape)
-    n_steps: int           # counts summed over the rows
-    n_rejected: int
-    n_rhs: int             # evaluations of f, counted per row
-    h_min: Optional[float]  # accepted step sizes, over all rows; None
-    h_max: Optional[float]  # when no step was taken
+    y: np.ndarray             # shape (len(t), *y0.shape)
+    row_steps: np.ndarray     # (P,) accepted steps of each row
+    row_rejected: np.ndarray  # (P,) rejected steps of each row
+    row_rhs: np.ndarray       # (P,) evaluations of f, counted per row
+    row_h_min: np.ndarray     # (P,) accepted step sizes of each row: inf
+    row_h_max: np.ndarray     # and -inf on a row that took no step
 
-    def stats(self) -> dict:
-        """Step, rejection and right-hand-side counts and the step-size range."""
-        return {"n_steps": self.n_steps, "n_rejected": self.n_rejected,
-                "n_rhs": self.n_rhs, "h_min": self.h_min, "h_max": self.h_max}
+    def stats(self, rows=slice(None)) -> dict:
+        """Step, rejection and right-hand-side counts summed over ``rows``
+        (any index of the row axis, by default every row) and the range of
+        their accepted step sizes, None when they took no step."""
+        steps = int(self.row_steps[rows].sum())
+        return {"n_steps": steps,
+                "n_rejected": int(self.row_rejected[rows].sum()),
+                "n_rhs": int(self.row_rhs[rows].sum()),
+                "h_min": float(self.row_h_min[rows].min()) if steps else None,
+                "h_max": float(self.row_h_max[rows].max()) if steps else None}
+
+    # the same over every row
+    n_steps = property(lambda self: self.stats()["n_steps"])
+    n_rejected = property(lambda self: self.stats()["n_rejected"])
+    n_rhs = property(lambda self: self.stats()["n_rhs"])
+    h_min = property(lambda self: self.stats()["h_min"])
+    h_max = property(lambda self: self.stats()["h_max"])
 
 
 def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
-                rtol: float, atol: float,
-                t_eval: Optional[Sequence[float]] = None,
+                rtol, atol, t_eval: Optional[Sequence[float]] = None,
                 step_hook: Optional[Callable] = None) -> OdeResult:
     """Integrate dy/dt = f(t, y) from t0 to tf, sampling at ``t_eval``.
 
     A 2-D ``y0`` of shape (P, n) holds P independent systems, the rows.
-    Each row has its own time, step size, acceptance, samples and last
-    step, and stops at its end, so it takes the steps it takes alone (step
-    sizes to rounding).  ``f`` then receives the (P,) times, ended rows at
-    their end, and the (P, n) state.  A 1-D ``y0`` is one row; ``f``
-    receives a float time and a 1-D state.
+    ``rtol`` and ``atol`` are each one value or one value per row, shape
+    (P,).  Each row has its own tolerances, time, step size, acceptance,
+    samples and last step, and stops at its end, so it takes the steps it
+    takes alone, bit for bit: every operation on a row, the stage sums
+    included, reads that row alone.  ``f`` then receives the (P,) times,
+    ended rows at their end, and the (P, n) state.  A 1-D ``y0`` is one
+    row; ``f`` receives a float time and a 1-D state.
 
     The error controller alone chooses the steps; only the last one is
     shortened to end on tf.  ``t_eval`` (default ``[tf]``) must run
@@ -125,8 +160,9 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
     is read from its step's quartic interpolant, so the samples change no
     step.  ``step_hook(t, y)``, called like ``f``, runs after every round
     in which a row accepted a step and may raise to abort the run.  The
-    result's ``y`` has shape (len(t), *y0.shape); its counts are sums over
-    the rows, and ``h_min``, ``h_max`` span every row's accepted steps.
+    result's ``y`` has shape (len(t), *y0.shape).  It keeps the counts and
+    the step-size range of each row; :meth:`OdeResult.stats` sums them
+    over any set of rows, and ``n_steps`` ... ``h_max`` over all of them.
     """
     y0 = np.asarray(y0, dtype=complex)
     if tf == t0:
@@ -139,12 +175,16 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
         raise InvalidArgument("t_eval must run monotonically from t0 to tf")
     y = y0.reshape(-1, y0.shape[-1]).copy()
     rows, n = y.shape
+    rtol, atol = _per_row(rtol, rows), _per_row(atol, rows)
     out = np.empty((ts.size, rows, n), dtype=complex)
     ti = int(np.searchsorted(along, 0.0, side="right"))
     out[:ti] = y
     if ti == ts.size:                      # no sample past t0: no step
-        return OdeResult(t=ts, y=out.reshape(ts.size, *y0.shape), n_steps=0,
-                         n_rejected=0, n_rhs=0, h_min=None, h_max=None)
+        zero = np.zeros(rows, dtype=int)
+        return OdeResult(t=ts, y=out.reshape(ts.size, *y0.shape),
+                         row_steps=zero, row_rejected=zero, row_rhs=zero,
+                         row_h_min=np.full(rows, np.inf),
+                         row_h_max=np.full(rows, -np.inf))
     tf = ts[-1]                            # the run ends on its last sample
     span = abs(tf - t0)
     if y0.ndim == 1:
@@ -157,12 +197,10 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
     next_sample = np.full(rows, ti)
     running = np.ones(rows, dtype=bool)
     k = np.empty((7, rows, n), dtype=complex)
-    stages = k.reshape(7, -1)
+    stages = k.view(float).transpose(1, 0, 2)
     k[0] = f(t, y)
     h = _initial_step(f, t, y, k[0], direction, rtol, atol, span)
-    n_rhs = 2 * rows       # k[0] and the trial step of _initial_step
-    n_steps = n_rejected = 0
-    steps_taken = []       # accepted step sizes
+    rounds = []            # the running rows, accepted rows and step sizes
 
     while np.count_nonzero(running):
         remaining = np.abs(tf - t)         # 0 on the rows that ended
@@ -172,19 +210,18 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
         dt_col = dt[:, None]
         t_stage = t + DP_C[:, None] * dt
         for i in range(1, 7):
-            k[i] = f(t_stage[i],
-                     y + dt_col * (DP_A[i] @ stages[:i]).reshape(rows, n))
-        n_rhs += 6 * int(np.count_nonzero(running))
-        y_new = y + dt_col * (DP_B @ stages).reshape(rows, n)
-        # stage 7 is evaluated at (t+dt, y_new): FSAL
+            y_new = y + dt_col * _stage_sum(DP_A[i], stages)
+            k[i] = f(t_stage[i], y_new)
+        # the last stage is evaluated at the step's result (t+dt, y_new):
+        # FSAL
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(dt_col * (DP_E @ stages).reshape(rows, n) / scale)
+        err = _rms(dt_col * _stage_sum(DP_E, stages) / scale)
         ok = running & (err <= 1.0)
+        rounds.append((running, ok, h_step))
         rejected = running & ~ok
         h = np.where(running, np.maximum(h_step * _step_factors(err), 1e-300),
                      h)
         if np.count_nonzero(rejected):
-            n_rejected += int(np.count_nonzero(rejected))
             tiny = rejected & (h < 1e-14 * np.maximum(1.0, np.abs(t)))
             if np.count_nonzero(tiny):
                 raise StepFailure(
@@ -192,8 +229,6 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
         if not np.count_nonzero(ok):
             continue
 
-        n_steps += int(np.count_nonzero(ok))
-        steps_taken.append(h_step[ok])
         t_new = np.where(last, tf, t_stage[6])
         # samples before a step end are interpolated, those on it take
         # y_new; one gather serves every accepted row
@@ -206,11 +241,12 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
             pos = np.arange(r.size) + np.repeat(
                 next_sample - np.cumsum(count) + count, count)
             x = (ts[pos] - t[r]) / dt[r]
-            # einsum, not matrix products: the pair kernels make no other
-            # BLAS matrix product, and the first one of a process adds
+            # one matrix-vector product per sample, as in _stage_sum; no
+            # matrix-matrix product, whose first call in a process adds
             # 256 KiB of resident memory
-            inner = y[r] + dt[r, None] * np.einsum(
-                "sp,ip,isn->sn", x[:, None] ** _POWERS, DP_P, k[:, r])
+            weights = (x[:, None] ** _POWERS)[:, None] @ DP_P.T
+            inner = y[r] + dt[r, None] * (
+                weights @ stages[r])[:, 0].view(complex)
             out[pos, r] = np.where((along[pos] >= at[r])[:, None],
                                    y_new[r], inner)
         next_sample = end
@@ -221,8 +257,11 @@ def solve_dopri(f: Callable, t0: float, tf: float, y0: np.ndarray,
         if step_hook is not None:
             step_hook(t, y)
 
-    steps_taken = np.concatenate(steps_taken)
+    ran, accepted, h_step = (np.array(v) for v in zip(*rounds))
+    attempts = np.count_nonzero(ran, axis=0)
+    steps = np.count_nonzero(accepted, axis=0)
     return OdeResult(t=ts, y=out.reshape(ts.size, *y0.shape),
-                     n_steps=n_steps, n_rejected=n_rejected, n_rhs=n_rhs,
-                     h_min=float(steps_taken.min()),
-                     h_max=float(steps_taken.max()))
+                     row_steps=steps, row_rejected=attempts - steps,
+                     row_rhs=2 + 6 * attempts,
+                     row_h_min=np.where(accepted, h_step, np.inf).min(axis=0),
+                     row_h_max=np.where(accepted, h_step, -np.inf).max(axis=0))

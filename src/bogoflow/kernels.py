@@ -31,7 +31,7 @@ backend_name = "python"
 def _flrw_a2(A, B, rho, eta):
     """Squared scale factor a(eta)^2 = A + B tanh(rho eta) and d(a^2)/deta."""
     th = np.tanh(rho * eta)
-    return A + B * th, B * rho * (1.0 - th ** 2)
+    return A + B * th, B * rho * (1.0 - th * th)
 
 
 def _gw_profile(omega, tau, t):
@@ -43,7 +43,8 @@ def _gw_profile(omega, tau, t):
     if np.count_nonzero(tau):
         # entries without an envelope divide by inf: env 1, denv 0
         tau = np.where(tau, tau, np.inf)
-        env = np.exp(-(t / tau) ** 2)
+        u = t / tau
+        env = np.exp(-u * u)
         denv = -2.0 * t / (tau * tau) * env
     else:
         env, denv = 1.0, 0.0
@@ -70,7 +71,7 @@ def _gw_rates(params, t):
     dhx = eps * ds
     dhy = -eps * ds
     w = np.sqrt(kx2 / hx + ky2 / hy + kz2 + msq)
-    wdot = -(kx2 * dhx / hx ** 2 + ky2 * dhy / hy ** 2) / (2.0 * w)
+    wdot = -(kx2 * dhx / (hx * hx) + ky2 * dhy / (hy * hy)) / (2.0 * w)
     q = 0.5 * (dhx / hx + dhy / hy)
     b = -0.5 * q - wdot / (2.0 * w)
     return 1.0, w, b
@@ -84,7 +85,10 @@ def _pair_system(family: int, params):
 
     The state holds (Qa, Qb, phi) in each row; one pair steps as a 1-D
     state on float parameters, as numpy's scalar arithmetic costs a
-    fraction of its one-element array arithmetic.
+    fraction of its one-element array arithmetic.  The complex products
+    are array products in both forms: numpy's scalar complex product
+    rounds apart from its array one, and a pair's bits must not depend on
+    how many pairs share its solve.
     """
     rates = _RATES[family]
     p = np.asarray(params, dtype=float)
@@ -98,34 +102,39 @@ def _pair_system(family: int, params):
 
     def rhs(x, y):
         jac, w, b = rates(columns, x)
-        qa, qb, phi = y.T
-        rot = b * np.exp(-2j * phi.real)
-        return np.array([jac * rot * np.conj(qb), jac * rot * np.conj(qa),
-                         jac * w + 0j]).T
+        rot = jac * b * np.exp(-2j * y[..., 2].real)
+        out = np.empty_like(y)
+        np.multiply(rot[..., None], np.conj(y[..., 1::-1]), out=out[..., :2])
+        out[..., 2] = jac * w
+        return out
     return rhs, y0
 
 
 def pair_evolution(family: int, params, x0: float, x_samples,
-                   rtol: float = 1e-10, atol: float = 1e-10,
-                   ident_cap: float = 0.0):
+                   rtol=1e-10, atol=1e-10, ident_cap=0.0):
     """Integrate one pair system per parameter row through the samples.
 
-    The pairs are the rows of one solve, each with its own steps.  Returns
-    (qa, qb, phase) arrays of shape (pairs, samples) and the solve's
-    ``n_steps``, ``n_rejected`` and ``n_rhs`` counts summed over the pairs,
-    with its step-size range ``h_min``, ``h_max``, as a dict.  A positive
-    ``ident_cap`` aborts with IdentityDrift when | |Qa|^2 - |Qb|^2 - 1 | of
-    a pair exceeds it on an accepted step.
+    The pairs are the rows of one solve, each with its own steps.
+    ``rtol``, ``atol`` and ``ident_cap`` are each one value or one value
+    per pair.  Returns (qa, qb, phase) arrays of shape (pairs, samples)
+    and the solve's :class:`~bogoflow.integrators.OdeResult`, whose
+    ``stats(rows)`` sums the ``n_steps``, ``n_rejected`` and ``n_rhs``
+    counts over any set of pairs, with their step-size range ``h_min``,
+    ``h_max``.  A positive ``ident_cap`` aborts with IdentityDrift when
+    | |Qa|^2 - |Qb|^2 - 1 | of its pair exceeds it on an accepted step.
     """
     rhs, y0 = _pair_system(family, params)
+    caps = np.broadcast_to(np.asarray(ident_cap, dtype=float), (len(params),))
+    caps = np.where(caps > 0, caps, np.inf)
 
     hook = None
-    if ident_cap > 0:
+    if np.any(np.isfinite(caps)):
         def hook(x, y):
             x, y = np.atleast_1d(x), np.atleast_2d(y)
             drift = np.abs(np.abs(y[:, 0]) ** 2 - np.abs(y[:, 1]) ** 2 - 1.0)
-            row = int(np.argmax(drift))
-            if drift[row] > ident_cap:
+            over = drift > caps
+            if np.count_nonzero(over):
+                row = int(np.argmax(np.where(over, drift, -1.0)))
                 raise IdentityDrift(f"pair identity drift {drift[row]:.3e} "
                                     f"at x={x[row]:.6g}")
 
@@ -133,4 +142,4 @@ def pair_evolution(family: int, params, x0: float, x_samples,
     res = solve_dopri(rhs, x0, float(samples[-1]), y0, rtol=rtol, atol=atol,
                       t_eval=samples, step_hook=hook)
     qa, qb, phase = res.y.reshape(samples.size, -1, 3).transpose(2, 1, 0)
-    return qa, qb, phase.real, res.stats()
+    return qa, qb, phase.real, res

@@ -4,11 +4,13 @@ The scale factor is a(eta) = sqrt(A + B tanh(rho eta)) in conformal time;
 coordinate time t = int a d(eta) has an elementary antiderivative, and its
 inverse follows by Newton's method since dt/deta = a > 0.  Each mode pair
 (n, -n) decouples into one small phase-stripped ODE system; the scenario
-kernel integrates all pairs of a run as the rows of one solve.  The
+kernel integrates all pairs of a run, and the same pairs at half the
+tolerance for its convergence check, as the rows of one solve.  The
 analytic asymptotic pair-creation formula for this profile serves as the
 oracle for the plateau values.
 """
 
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -150,15 +152,24 @@ class FlrwResult:
         return float(np.max(np.abs(self.alpha2 - 1.0 - self.beta2)))
 
 
-def _run_pairs(cfg: FlrwConfig, ks, eta_samples):
-    """(alpha, beta, solver counts) of the pairs with wavenumbers ks."""
-    qa, qb, phase, stats = kernels.pair_evolution(
-        kernels.FLRW_TANH, [[cfg.A, cfg.B, cfg.rho, k, cfg.m] for k in ks],
-        float(eta_samples[0]), eta_samples,
-        rtol=cfg.tol, atol=cfg.tol, ident_cap=100.0 * cfg.tol)
-    # U = Theta Q: the pair shares one accumulated phase
+def _run_pairs(cfg: FlrwConfig, ks, eta_samples, tol):
+    """(qa, qb, phase, solve, seconds of the solve) of the pairs with
+    wavenumbers ks, one solve row each, at ``tol``: one value, or one value
+    per pair."""
+    params = [[cfg.A, cfg.B, cfg.rho, k, cfg.m] for k in ks]
+    tol = np.asarray(tol, dtype=float)
+    start = time.perf_counter()
+    out = kernels.pair_evolution(
+        kernels.FLRW_TANH, params, float(eta_samples[0]), eta_samples,
+        rtol=tol, atol=tol, ident_cap=100.0 * tol)
+    return (*out, time.perf_counter() - start)
+
+
+def _to_u(qa, qb, phase):
+    """(alpha, beta) = Theta (qa, qb): the pair shares one accumulated
+    phase."""
     rot = np.exp(1j * phase)
-    return rot * qa, rot * qb, stats
+    return rot * qa, rot * qb
 
 
 def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
@@ -168,9 +179,17 @@ def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
     Initial data alpha = 1, beta = 0 is imposed at the left end of the
     grid; the span should satisfy |rho eta| >= 8 at both ends for that to
     approximate the asymptotic past (warned otherwise).  The massless field
-    is exactly trivial: the pair rate carries a factor m^2.  All pairs are
-    the rows of one solve; ``meta`` holds its ``n_steps``, ``n_rejected``
-    and ``n_rhs`` summed over the pairs and its ``h_min`` and ``h_max``.
+    is exactly trivial: the pair rate carries a factor m^2.
+
+    The ODE tolerance is checked in the same solve: every pair is a row at
+    ``cfg.tol`` and again a row at half of it, and a row takes the steps
+    it takes alone.  ``meta["convergence"]`` holds both tolerances, the
+    largest change of the final |beta|^2 between them and ``converged``,
+    true when that change is below 1e-8.  ``meta`` holds the ``n_steps``,
+    ``n_rejected`` and ``n_rhs`` of the ``cfg.tol`` rows, summed over the
+    pairs, and their ``h_min`` and ``h_max``; ``meta["convergence_rerun"]``
+    holds the same five entries of the half-tolerance rows, and
+    ``stepper_s`` the wall time of the solve.
     """
     if not cfg.saturated():
         warnings.warn("eta_span too short for asymptotic initial data "
@@ -179,14 +198,24 @@ def flrw_run(cfg: FlrwConfig, n_samples: int = 600,
     if include_zero_mode and cfg.m > 0:
         labels = [0] + labels
     eta_samples = np.linspace(cfg.eta_span[0], cfg.eta_span[1], n_samples)
-    alpha, beta, stats = _run_pairs(cfg, [cfg.k_n(n) for n in labels],
-                                    eta_samples)
-    oracle = np.array([asymptotic_beta_squared(cfg, cfg.k_n(n)) for n in labels])
+    ks = [cfg.k_n(n) for n in labels]
+    tols = [cfg.tol, cfg.tol / 2]
+    qa, qb, phase, solve, stepper_s = _run_pairs(
+        cfg, ks + ks, eta_samples, np.repeat(tols, len(ks)))
+    run, rerun = slice(0, len(ks)), slice(len(ks), None)
+    alpha, beta = _to_u(qa[run], qb[run], phase[run])
+    # the half-tolerance rows: only their final |beta|^2 is kept
+    _, beta_half = _to_u(qa[rerun, -1], qb[rerun, -1], phase[rerun, -1])
+    oracle = np.array([asymptotic_beta_squared(cfg, k) for k in ks])
 
     result = FlrwResult(config=cfg, labels=tuple(labels), eta=eta_samples,
                         t=cfg.eta_to_t(eta_samples), alpha=alpha,
                         beta=beta, oracle_beta2=oracle)
-    result.meta.update(stats)
+    diff = float(np.max(np.abs(np.abs(beta_half) ** 2 - result.beta2_final)))
+    result.meta.update(solve.stats(run), stepper_s=stepper_s,
+                       convergence_rerun=solve.stats(rerun),
+                       convergence={"tol": tols, "max_difference": diff,
+                                    "converged": diff < 1e-8})
     result.meta["pair_identity_residual"] = result.pair_identity_residual()
 
     beta2 = result.beta2
@@ -214,7 +243,8 @@ def flrw_unconfined_limit(cfg: FlrwConfig, k: float,
     if k <= 0:
         raise InvalidArgument("wavenumber k must be positive")
     eta_samples = np.linspace(cfg.eta_span[0], cfg.eta_span[1], n_samples)
-    (alpha,), (beta,), _ = _run_pairs(cfg, [k], eta_samples)
+    qa, qb, phase, _, _ = _run_pairs(cfg, [k], eta_samples, cfg.tol)
+    (alpha,), (beta,) = _to_u(qa, qb, phase)
     return {
         "k": k,
         "eta": eta_samples,

@@ -348,6 +348,68 @@ def test_fig2_record_names_the_backend_once(tmp_path):
     assert "backend" not in record
 
 
+def test_flrw_run_is_one_solve_with_its_half_tolerance_check(tmp_path,
+                                                            monkeypatch):
+    """The tol/2 check runs as more rows of the run's one solve; its record
+    equals that of separate solves at tol and tol/2, bit for bit."""
+    from bogoflow import kernels
+
+    path = write_config(tmp_path, flrw_config(
+        flrw=dict(FLRW_BLOCK, n_max=5),
+        output={"path": "fig2", "format": "csv"}))
+    solves = []
+    solve = kernels.solve_dopri
+    monkeypatch.setattr(kernels, "solve_dopri",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+    assert cli.run(path, output_dir=tmp_path) == 0
+    assert len(solves) == 1
+    monkeypatch.undo()
+
+    record = json.loads((tmp_path / "fig2.json").read_text())
+    scen = cli._flrw_config(json.loads(path.read_text()))
+    rows = [[scen.A, scen.B, scen.rho, scen.k_n(int(n)), scen.m]
+            for n in record["series_labels"]]
+    beta2, counts = [], []
+    for tol, n_samples in ((scen.tol, 600), (scen.tol / 2, 2)):
+        eta = np.linspace(scen.eta_span[0], scen.eta_span[1], n_samples)
+        _, qb, phase, res = kernels.pair_evolution(
+            kernels.FLRW_TANH, rows, eta[0], eta, rtol=tol, atol=tol,
+            ident_cap=100.0 * tol)
+        beta2.append((np.abs(np.exp(1j * phase) * qb) ** 2)[:, -1])
+        counts.append(res.stats())
+    diff = float(np.max(np.abs(beta2[1] - beta2[0])))
+    assert record["convergence"] == {"tol": [scen.tol, scen.tol / 2],
+                                     "max_difference": diff,
+                                     "converged": diff < 1e-8}
+    diag = record["diagnostics"]
+    assert [diag["run"], diag["convergence_rerun"]] == counts
+    assert diag["stepper_s"] > 0
+
+
+def reformat_per_cell(line):
+    """A CSV line as the per-cell f-string join writes it."""
+    return ",".join(f"{float(cell):.17e}" for cell in line.split(","))
+
+
+@pytest.mark.parametrize("cfg", [
+    flrw_config(flrw=dict(FLRW_BLOCK, n_max=5)),
+    {"scenario": "gw_cavity",
+     "gw_cavity": {"lengths": [1.0, 2.0, 1.0], "epsilon": 1e-5,
+                   "n_modes_per_axis": [3, 3, 3]},
+     "output": {"path": "out", "format": "csv"}, "seed": 1},
+    dict(custom_config(), output={"path": "out", "format": "csv"}),
+], ids=["flrw", "gw_cavity", "custom"])
+def test_csv_body_is_the_per_cell_format(tmp_path, cfg):
+    """Each row written with one format call has the bytes of the
+    per-cell f"{x:.17e}" join; %.17e reads back to the same float."""
+    path = write_config(tmp_path, cfg)
+    assert cli.run(path, output_dir=tmp_path) == 0
+    _, *body = (tmp_path / "out.csv").read_bytes().decode().split("\n")
+    assert body.pop() == "" and len(body) > 50
+    assert len({line.count(",") for line in body}) == 1 and "," in body[0]
+    assert body == [reformat_per_cell(line) for line in body]
+
+
 GW_BLOCK = {"lengths": [1.0, 2.0, 1.0], "epsilon": 1e-5}
 
 

@@ -332,3 +332,37 @@ def test_run_ends_on_the_last_sample():
         assert res.y.shape == (len(t_eval), 1) and np.all(res.y == y0)
         assert res.n_steps == res.n_rhs == 0 and not calls
         assert res.h_min is None and res.h_max is None
+
+
+@pytest.mark.parametrize("evolve", [evolve_Q, evolve_U])
+def test_samples_are_held_once(evolve):
+    """The matrices returned at the samples are views of the solve's
+    samples.  The allocation peak is the samples plus the solve's working
+    set, well below the two copies of every sample it held before."""
+    import tracemalloc
+
+    n = 32
+    w = 1.0 + 0.01 * np.arange(n)
+    ahat = np.zeros((n, n), dtype=complex)
+    ahat[0, 1], ahat[1, 0] = 0.1, -0.1
+    bhat = np.zeros((n, n), dtype=complex)
+    bhat[0, 1] = bhat[1, 0] = 0.1
+
+    def driver(t):
+        return w, (ahat * np.cos(20.0 * t), bhat * np.sin(20.0 * t))
+
+    t_eval = np.linspace(0.0, 2.0, 101)[1:]
+    tracemalloc.start()
+    try:
+        out = evolve(driver, 0.0, 2.0, tol=1e-9, t_eval=t_eval)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state = 2 * n * n + (n if evolve is evolve_Q else 0)
+    samples = t_eval.size * state * 16          # bytes of complex samples
+    assert samples < peak < 1.6 * samples
+    last = out[-1][0] if evolve is evolve_Q else out[-1]
+    final = evolve(driver, 0.0, 2.0, tol=1e-9)
+    final = final[0] if evolve is evolve_Q else final
+    assert np.array_equal(last.alpha, final.alpha)
+    assert np.array_equal(last.beta, final.beta)

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bogoflow import kernels
-from bogoflow.errors import IdentityDrift
+from bogoflow.errors import IdentityDrift, InvalidArgument
 from bogoflow.integrators import solve_dopri
 
 FLRW_PARAMS = [2.5, 1.5, 1.0, 2.0 * np.pi / 1000.0, 0.1]
@@ -115,14 +115,41 @@ def test_batched_rows_take_their_solo_steps(x0, x1, n_samples):
         assert attempts[row] == solo_attempts
         assert attempts[row] - steps[row] == solo.n_rejected
         assert 2 + 6 * attempts[row] == solo.n_rhs
-        got, ref = batch.y[:, row], solo.y
-        assert np.max(np.abs(got[:, :2] - ref[:, :2])) < 1e-14
-        # the phase grows to about 20 on the k = 1 row
-        assert np.all(np.abs(got[:, 2] - ref[:, 2])
-                      <= 1e-14 * np.maximum(1.0, np.abs(ref[:, 2])))
+        assert np.array_equal(batch.y[:, row], solo.y)
+        assert batch.stats([row]) == solo.stats()
     assert batch.n_steps == sum(steps)
     assert batch.n_rhs == 2 * len(FLRW_ROWS) + 6 * int(np.sum(attempts))
     assert batch.n_rejected == int(np.sum(attempts)) - sum(steps)
+
+
+@pytest.mark.parametrize("family,rows,x0,x1", [
+    (kernels.FLRW_TANH, FLRW_ROWS, -10.0, 10.0),
+    (kernels.GW_MODE, [GW_PARAMS, [np.pi ** 2, 0.0, 0.0, 0.5, 1e-3,
+                                   3.0 * np.pi, 4.0]], -6.0, 6.0),
+])
+def test_rows_at_mixed_tolerances_are_their_solo_solves(family, rows, x0, x1):
+    """Rows at tol and at tol/2 in one solve: each row's samples, counts
+    and step-size range are those of its solve alone, bit for bit."""
+    samples = np.linspace(x0, x1, 600)
+    tols = np.repeat([1e-10, 5e-11], len(rows))
+    qa, qb, phase, batch = kernels.pair_evolution(
+        family, rows + rows, x0, samples, rtol=tols, atol=tols,
+        ident_cap=100.0 * tols)
+    for row, (params, tol) in enumerate(zip(rows + rows, tols)):
+        (sa,), (sb,), (sp,), solo = kernels.pair_evolution(
+            family, [params], x0, samples, rtol=tol, atol=tol,
+            ident_cap=100.0 * tol)
+        assert np.array_equal(qa[row], sa) and np.array_equal(qb[row], sb)
+        assert np.array_equal(phase[row], sp)
+        assert batch.stats([row]) == solo.stats()
+    # the half tolerance takes more steps
+    assert batch.row_steps[len(rows):].sum() > batch.row_steps[:len(rows)].sum()
+
+
+def test_a_tolerance_per_row_must_match_the_rows():
+    rhs, y0 = kernels._pair_system(kernels.FLRW_TANH, FLRW_ROWS)
+    with pytest.raises(InvalidArgument, match="one per row"):
+        solve_dopri(rhs, -10.0, 10.0, y0, rtol=[1e-10, 1e-10], atol=1e-10)
 
 
 def test_identity_drift_in_one_row_names_that_rows_x():
