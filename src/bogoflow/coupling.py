@@ -190,8 +190,6 @@ def coupling_matrices(basis: ModeBasis, derivs: BasisDerivatives,
             f"exceeds {sym_rtol:.1e} * {scale:.3e} at t={t:.6g}")
 
     cm = CouplingMatrices(t=t, alpha_hat=ahat, beta_hat=bhat)
-    # real diagonal of ahat must vanish; keep it visible as a health metric
-    cm.meta["diag_real_max"] = float(np.max(np.abs(np.real(np.diagonal(ahat)))))
     cm.meta["symmetry_residual"] = max(res_a, res_b)
     return cm
 

@@ -50,7 +50,8 @@ class DimensionMismatch(BogoflowError, ValueError):
 
 
 class MissingPerturbedModes(BogoflowError):
-    """First-order eigenpair data required by the mode-form coupling is absent."""
+    """First-order input is absent: frequency drifts for the mode form, or
+    ``delta_operator`` for the operator form."""
 
 
 class NonDecayingProfile(BogoflowError):

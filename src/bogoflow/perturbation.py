@@ -71,33 +71,23 @@ def sin_profile(omega: float, gaussian_tau: Optional[float] = None) -> HarmonicP
 class PerturbationSpec:
     """Separable first-order perturbation: every delta is s(t) * (x-part).
 
-    ``delta_q``/``delta_rbar`` are spatial parts (scalars or callables of
-    points); ``delta_operator`` maps a mode to the x-part of the operator
+    ``delta_q``/``delta_rbar`` are spatially constant x-parts (scalars);
+    ``delta_operator`` maps a mode to the x-part of the operator
     perturbation applied to it.  Entries of the resulting coupling are
     O(1): epsilon is applied only when coefficients are assembled.
     """
 
     epsilon: float
     profile: HarmonicProfile
-    delta_q: object = 0.0
-    delta_rbar: object = 0.0
+    delta_q: complex = 0.0
+    delta_rbar: complex = 0.0
     delta_operator: Optional[Callable] = None
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise InvalidArgument("epsilon must be non-negative")
-
-
-@dataclass(frozen=True)
-class PerturbedEigenpairs:
-    """x-parts of first-order eigenpair shifts: Dw_n(t) = s(t)*delta_omega[n].
-
-    ``delta_modes`` entries may be None when the mode shapes are unchanged
-    to first order.
-    """
-
-    delta_omega: np.ndarray
-    delta_modes: Optional[tuple] = None
+        if not (np.isscalar(self.delta_q) and np.isscalar(self.delta_rbar)):
+            raise InvalidArgument("dq/drbar parts must be spatially constant")
 
 
 # ---------------------------------------------------------------------------
@@ -204,62 +194,31 @@ class DeltaCoupling:
 
 
 # ---------------------------------------------------------------------------
-# assembly from perturbed eigenpairs or from the operator
+# assembly from frequency drifts or from the operator
 
 
-def _spatial_gram(basis, rows, weight, conj):
-    ctx = basis.context
-    return ctx.gram(rows, basis.modes, conj=conj, weight=weight)
-
-
-def delta_coupling_from_modes(static_basis: ModeBasis,
-                              eigpairs: PerturbedEigenpairs,
+def delta_coupling_from_modes(static_basis: ModeBasis, delta_omega,
                               spec: PerturbationSpec) -> DeltaCoupling:
-    """First-order coupling from perturbed eigenpairs (mode form)."""
-    if eigpairs is None or eigpairs.delta_omega is None:
-        raise MissingPerturbedModes("perturbed eigenvalues are required")
+    """First-order coupling from frequency drifts (mode form).
+
+    For a perturbation that keeps the mode shapes and has dq = drbar = 0,
+    the drifts Dw_n(t) = s(t) * delta_omega[n] are the whole first-order
+    content: base_alpha = 0 and base_beta = -2i (w delta_omega)[:, None] S0,
+    with S0 the plain Gram of the static basis.  Anything else takes
+    :func:`delta_coupling_operator_form`.
+    """
+    if spec.delta_q != 0 or spec.delta_rbar != 0:
+        raise InvalidArgument("dq/drbar need the operator form")
     n = static_basis.n_modes
-    w = static_basis.omegas
-    ctx = static_basis.context
-    dw = np.asarray(eigpairs.delta_omega, dtype=complex)
-    if dw.shape != (n,):
+    if np.shape(delta_omega) != (n,):
         raise MissingPerturbedModes("delta_omega must cover every mode")
-
-    w2diff = (w ** 2)[:, None] - (w ** 2)[None, :]
-    if eigpairs.delta_modes is not None:
-        dm = list(eigpairs.delta_modes)
-        if any(m is not None for m in dm):
-            zero = [m for m in dm if m is not None][0]
-            rows = [m if m is not None else zero.scaled(0.0) for m in dm]
-            g_conj = ctx.gram(rows, static_basis.modes, conj=True)
-            g_plain = ctx.gram(rows, static_basis.modes, conj=False)
-        else:
-            g_conj = g_plain = np.zeros((n, n), dtype=complex)
-    else:
-        g_conj = g_plain = np.zeros((n, n), dtype=complex)
-
-    sq_conj = _spatial_gram(static_basis, static_basis.modes, spec.delta_q, True) \
-        if _nonzero(spec.delta_q) else 0.0
-    sq_plain = _spatial_gram(static_basis, static_basis.modes, spec.delta_q, False) \
-        if _nonzero(spec.delta_q) else 0.0
-    xi = static_basis.spacetime.coupling
-    if xi != 0.0 and _nonzero(spec.delta_rbar):
-        sr_conj = _spatial_gram(static_basis, static_basis.modes, spec.delta_rbar, True)
-        sr_plain = _spatial_gram(static_basis, static_basis.modes, spec.delta_rbar, False)
-    else:
-        sr_conj = sr_plain = 0.0
-    s0 = ctx.gram(static_basis.modes, static_basis.modes, conj=False)
-
-    base_alpha = 1j * w2diff * g_conj + w[:, None] * sq_conj + 1j * xi * sr_conj
-    base_beta = (-1j * w2diff * g_plain - w[:, None] * sq_plain
-                 - 1j * xi * sr_plain - 2j * (w * dw)[:, None] * s0)
+    dw = np.asarray(delta_omega, dtype=complex)
+    s0 = static_basis.context.gram(static_basis.modes, static_basis.modes,
+                                   conj=False)
+    base_beta = -2j * (static_basis.omegas * dw)[:, None] * s0
     return DeltaCoupling(basis=static_basis, epsilon=spec.epsilon,
-                         base_alpha=base_alpha, base_beta=base_beta,
-                         profile=spec.profile)
-
-
-def _nonzero(spatial) -> bool:
-    return callable(spatial) or (np.isscalar(spatial) and spatial != 0)
+                         base_alpha=np.zeros((n, n), dtype=complex),
+                         base_beta=base_beta, profile=spec.profile)
 
 
 def delta_coupling_operator_form(static_basis: ModeBasis,
@@ -281,11 +240,7 @@ def delta_coupling_operator_form(static_basis: ModeBasis,
     images = []
     for k, mode in enumerate(static_basis.modes):
         img = spec.delta_operator(mode)
-        pot = 0.0 + 0.0j
-        if _nonzero(spec.delta_q) and np.isscalar(spec.delta_q):
-            pot += w[k] * spec.delta_q
-        if xi != 0.0 and _nonzero(spec.delta_rbar) and np.isscalar(spec.delta_rbar):
-            pot += 1j * xi * spec.delta_rbar
+        pot = w[k] * spec.delta_q + 1j * xi * spec.delta_rbar
         if isinstance(mode, SeparableMode):
             terms = tuple((1j * c, f) for c, f in img.terms)
             if pot != 0:
@@ -294,9 +249,6 @@ def delta_coupling_operator_form(static_basis: ModeBasis,
         else:
             vals = 1j * img.values + pot * mode.values
             images.append(replace(mode, values=vals))
-    if (callable(spec.delta_q) or callable(spec.delta_rbar)):
-        raise InvalidArgument(
-            "operator form expects spatially constant dq/drbar parts")
 
     base_alpha = ctx.gram(images, static_basis.modes, conj=True)
     base_beta = -ctx.gram(images, static_basis.modes, conj=False)

@@ -1,8 +1,8 @@
 """Gauss-Legendre rules, composite panels, and the chop of a series.
 
-Long oscillatory integrands (window integrals in time, Grams of high modes)
-are integrated on panels: one fixed ``_PANEL_ORDER``-point rule on each of
-a number of equal sub-intervals, refined by doubling the panel count.  A
+Long oscillatory integrands (the numeric window integrals in time) are
+integrated on panels: one fixed ``_PANEL_ORDER``-point rule on each of a
+number of equal sub-intervals, refined by doubling the panel count.  A
 Galerkin pencil of polynomials up to degree P is integrated instead by one
 global rule of 2P + 20 points (:func:`_leggauss`, cached per order): a
 panel rule of fixed order does not integrate degree 2P exactly, and near

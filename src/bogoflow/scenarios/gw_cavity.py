@@ -18,10 +18,9 @@ from ..coupling import DiagonalFamilyDriver
 from ..errors import InvalidArgument
 from ..geometry import BoundarySpec, Domain, diagonal_spacetime, static_spacetime
 from ..kernels import _gw_profile
-from ..perturbation import (DeltaCoupling, PerturbationSpec, PerturbedEigenpairs,
-                            ResonanceReport, asymptotic_coefficients,
-                            delta_coupling_from_modes, resonance_scan,
-                            sin_profile, window_coefficients)
+from ..perturbation import (DeltaCoupling, PerturbationSpec, ResonanceReport,
+                            asymptotic_coefficients, delta_coupling_from_modes,
+                            resonance_scan, sin_profile, window_coefficients)
 from ..spectral import (OperatorSpec, SeparableMode, regularize_zero_mode,
                         separable_basis)
 
@@ -103,19 +102,19 @@ def gw_perturbation(cfg: GwCavityConfig) -> PerturbationSpec:
                             delta_operator=dxx_minus_dyy)
 
 
-def gw_eigpairs(basis) -> PerturbedEigenpairs:
-    """First-order eigenvalue drifts; mode shapes are unchanged at O(eps)."""
+def gw_frequency_drifts(basis) -> np.ndarray:
+    """x-parts of the first-order frequency drifts; shapes hold at O(eps)."""
     dw = np.empty(basis.n_modes)
     for i, mode in enumerate(basis.modes):
         kx, ky, _ = mode.wavenumbers
         dw[i] = (ky ** 2 - kx ** 2) / (2.0 * basis.omegas[i])
-    return PerturbedEigenpairs(delta_omega=dw, delta_modes=None)
+    return dw
 
 
 def gw_delta_coupling(cfg: GwCavityConfig,
                       dm: Optional[float] = None) -> DeltaCoupling:
     _, _, basis = gw_static_basis(cfg, dm)
-    return delta_coupling_from_modes(basis, gw_eigpairs(basis),
+    return delta_coupling_from_modes(basis, gw_frequency_drifts(basis),
                                      gw_perturbation(cfg))
 
 

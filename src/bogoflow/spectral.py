@@ -10,9 +10,10 @@ Two solver paths produce a :class:`ModeBasis` on a time slice:
 
 Modes are normalized so that the slice integral of |Phi_n|^2 against the
 metric volume element equals 1/(2 omega_n).  Slice integrals (Grams) of
-separable modes are exact; Grams of Galerkin modes use the quadrature rule
-that assembled the mass matrix M of their pencil K c = omega^2 M c, so
-Galerkin bases are orthonormal to rounding.
+separable modes are exact and take a constant weight only; Grams of
+Galerkin modes use the quadrature rule that assembled the mass matrix M of
+their pencil K c = omega^2 M c, so Galerkin bases are orthonormal to
+rounding.
 """
 
 import functools
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import (DegeneracyMismatch, InvalidArgument, NegativeEigenvalue,
                      UnresolvedSlice, ZeroMode)
 from .geometry import BoundarySpec, SyncSpacetime, q_factor, time_step
-from .quadrature import _leggauss, _standard_chop, panel_rule
+from .quadrature import _leggauss, _standard_chop
 
 _TINY_K = 1e-14
 #: omega^2 within this fraction of the largest |omega^2| counts as a zero mode.
@@ -194,12 +195,13 @@ def _distinct(factors, ax):
 class SliceContext:
     """Mode pair integrals on one slice.
 
-    Separable modes integrate exactly, or on composite Gauss-Legendre panels
-    under a callable weight (1D); nodal modes on the quadrature rule of
-    their :class:`GalerkinRule`, the rule that assembled their pencil.  The
-    context keeps the weights w_j sqrt(h_xx(x_j)), and those times each
-    callable weight it was given, for the last rule it integrated on, so
-    every Gram on that rule evaluates the metric and the weight once.
+    Separable modes integrate exactly, on a diagonal metric under a
+    constant weight; nodal modes on the quadrature rule of their
+    :class:`GalerkinRule`, the rule that assembled their pencil, under any
+    weight.  The context keeps the weights w_j sqrt(h_xx(x_j)), and those
+    times each callable weight it was given, for the last rule it
+    integrated on, so every Gram on that rule evaluates the metric and the
+    weight once.
     """
 
     def __init__(self, spacetime: SyncSpacetime, t: float):
@@ -218,10 +220,10 @@ class SliceContext:
     def gram(self, modes_a, modes_b, conj=True, weight=None):
         """Matrix of integrals dV * A_n * (B_m or B_m*) * weight.
 
-        ``weight`` may be None, a scalar, or a callable of points.  A Gram
-        of nodal modes is sum_j W_j A_n(x_j) B_m(x_j) with
-        W = w_j sqrt(h_xx) * weight; nodal and separable modes cannot share
-        one Gram.
+        ``weight`` may be None, a scalar, or (for nodal modes) a callable
+        of points.  A Gram of nodal modes is sum_j W_j A_n(x_j) B_m(x_j)
+        with W = w_j sqrt(h_xx) * weight; nodal and separable modes cannot
+        share one Gram.
         """
         st = self.spacetime
         modes = list(modes_a) + list(modes_b)
@@ -231,13 +233,12 @@ class SliceContext:
                 raise InvalidArgument(
                     "a Gram cannot mix nodal and separable modes")
             return self._gram_nodal(modes_a, modes_b, modes, conj, weight)
-        if st.diag_scales is not None and (weight is None or np.isscalar(weight)):
-            return self._gram_separable(modes_a, modes_b, conj,
-                                        1.0 if weight is None else complex(weight))
-        if st.dim != 1:
+        if st.diag_scales is None or callable(weight):
             raise InvalidArgument(
-                "generic pair integrals are only implemented in 1D")
-        return self._gram_quadrature(modes_a, modes_b, conj, weight)
+                "a Gram of separable modes needs a diagonal metric and a "
+                "constant weight")
+        return self._gram_separable(modes_a, modes_b, conj,
+                                    1.0 if weight is None else complex(weight))
 
     def _gram_separable(self, modes_a, modes_b, conj, weight):
         """Sum over term pairs of amplitudes times per-axis factor integrals.
@@ -263,24 +264,6 @@ class SliceContext:
         out.real = np.bincount(pair, prod.real.ravel(), na * nb)
         out.imag = np.bincount(pair, prod.imag.ravel(), na * nb)
         return out.reshape(na, nb) * self.sqrt_det() * weight
-
-    def _gram_quadrature(self, modes_a, modes_b, conj, weight):
-        L = self.spacetime.domain.lengths[0]
-        kmax = max((abs(f.factors[0].k) for m in list(modes_a) + list(modes_b)
-                    for _, f in m.terms), default=0.0)
-        # a pair product oscillates up to e^{2i kmax x}: kmax*h radians over
-        # a panel's half-width h/2.  The 32-point rule integrates e^{i w u}
-        # on [-1, 1] to rounding up to w = 28 (5e-14 at 32, 8e-9 at 40), so
-        # panels keep kmax*h <= 24, with room for the weight's own variation
-        panels = int(min(64, max(2, np.ceil(kmax * L / 24.0))))
-        x, w = panel_rule(panels, 0.0, L)
-        pts = x[:, None]
-        va = np.array([m.value(pts) for m in modes_a])
-        vb = np.array([m.value(pts) for m in modes_b])
-        w = w * self.spacetime.sqrt_det_h(self.t, pts)
-        if weight is not None:
-            w = w * (weight(pts) if callable(weight) else weight)
-        return (va * w) @ (np.conj(vb) if conj else vb).T
 
     def _nodal_weights(self, rule):
         """(x, mass, weighted) of ``rule``, cached for the last rule."""

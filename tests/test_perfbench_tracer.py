@@ -84,3 +84,24 @@ def test_tracer_counts_one_default_path_fd_driver_call():
     assert m["coupling.driver_calls"] == 1
     assert m["spectral.basis_solves"] == 1
     assert m["spectral.align_calls"] == 1
+
+
+def test_tracer_times_one_gw_mode_form_coupling():
+    """gw_resonance's per-layer coupling metric reads the span named
+    after ``delta_coupling_from_modes``; its one Gram is the plain S0."""
+    for name in LAYER_MODULES:
+        importlib.import_module(name)
+    from bogoflow import scenarios
+    tracing = load_tracer()
+
+    cfg = scenarios.GwCavityConfig(n_modes_per_axis=(3, 3, 3))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        scenarios.gw_delta_coupling(cfg)
+    finally:
+        tracer.uninstall()
+    m = tracing.op_metrics(tracer.take())
+
+    assert m["perturbation.coupling_s"] > 0
+    assert m["spectral.gram_calls"] == 1

@@ -7,7 +7,7 @@ from bogoflow.errors import (InvalidArgument, MissingPerturbedModes,
                              NonDecayingProfile, QuadratureFailure,
                              WindowViolation)
 from bogoflow.perturbation import (DeltaCoupling, PerturbationSpec,
-                                   PerturbedEigenpairs, asymptotic_coefficients,
+                                   asymptotic_coefficients,
                                    delta_coupling_from_modes,
                                    delta_coupling_operator_form,
                                    equivalence_reduce, resonance_scan,
@@ -46,8 +46,7 @@ def test_gw_mode_form_has_diagonal_beta_structure():
 def test_zero_perturbation_gives_zero_matrices():
     _, _, basis = gw_static_basis(CFG)
     spec = PerturbationSpec(epsilon=0.0, profile=sin_profile(1.0))
-    eig = PerturbedEigenpairs(delta_omega=np.zeros(basis.n_modes))
-    dc = delta_coupling_from_modes(basis, eig, spec)
+    dc = delta_coupling_from_modes(basis, np.zeros(basis.n_modes), spec)
     assert np.max(np.abs(dc.base_alpha)) == 0.0
     assert np.max(np.abs(dc.base_beta)) == 0.0
     b = asymptotic_coefficients(
@@ -461,9 +460,28 @@ def test_static_basis_must_be_the_coupling_basis():
 def test_missing_inputs_raise():
     _, _, basis = gw_static_basis(CFG)
     spec = PerturbationSpec(epsilon=1e-5, profile=sin_profile(1.0))
-    with pytest.raises(MissingPerturbedModes):
-        delta_coupling_from_modes(basis, PerturbedEigenpairs(None), spec)
+    for drifts in (None, np.zeros(basis.n_modes - 1)):
+        with pytest.raises(MissingPerturbedModes):
+            delta_coupling_from_modes(basis, drifts, spec)
     with pytest.raises(MissingPerturbedModes):
         delta_coupling_operator_form(basis, spec)
     with pytest.raises(InvalidArgument):
         DeltaCoupling(basis=basis, epsilon=1e-5)
+
+
+@pytest.mark.parametrize("part", ["delta_q", "delta_rbar"])
+def test_mode_form_rejects_dq_and_drbar(part):
+    """The mode form takes frequency drifts alone: a non-zero dq or drbar
+    raises instead of being dropped."""
+    _, _, basis = gw_static_basis(CFG)
+    spec = PerturbationSpec(epsilon=1e-5, profile=sin_profile(1.0),
+                            **{part: 0.5})
+    with pytest.raises(InvalidArgument):
+        delta_coupling_from_modes(basis, np.zeros(basis.n_modes), spec)
+
+
+@pytest.mark.parametrize("part", ["delta_q", "delta_rbar"])
+def test_spec_rejects_spatially_varying_dq_and_drbar(part):
+    with pytest.raises(InvalidArgument):
+        PerturbationSpec(epsilon=1e-5, profile=sin_profile(1.0),
+                         **{part: lambda pts: np.ones(len(pts))})

@@ -7,9 +7,6 @@ from bogoflow import quadrature
 from bogoflow.perturbation import window_coefficients
 from bogoflow.quadrature import _PANEL_ORDER, panel_rule
 from bogoflow.scenarios import GwCavityConfig, gw_delta_coupling
-from bogoflow.spectral import instantaneous_basis
-
-from conftest import make_operator
 
 
 @pytest.mark.parametrize("panels, a, b", [(1, 0.0, 1.0), (3, -1.5, 2.5),
@@ -69,15 +66,3 @@ def test_numeric_window_matches_tone_integrals():
     assert np.max(np.abs(m_t.beta - m_q.beta)) <= 1e-12 * scale
     assert np.max(np.abs(m_t.alpha - m_q.alpha)) <= 1e-12
 
-
-def test_callable_weight_gram_of_high_modes_on_panels(unit_torus, rule_orders):
-    """Grams of 41 torus modes (products up to e^{80 i pi x}) under a
-    callable weight: panels only, and the exact scalar-weight Gram to
-    rounding."""
-    basis = instantaneous_basis(make_operator(unit_torus), unit_torus, 0.0, 41)
-    for conj in (True, False):
-        exact = basis.gram(conj=conj, weight=0.3)
-        quad = basis.gram(conj=conj,
-                          weight=lambda pts: np.full(len(pts), 0.3))
-        assert np.max(np.abs(quad - exact)) <= 1e-13 * np.max(np.abs(exact))
-    assert rule_orders == [_PANEL_ORDER]

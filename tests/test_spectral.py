@@ -15,8 +15,8 @@ from bogoflow import (BoundarySpec, Domain, SyncSpacetime, align_basis,
 from bogoflow.coupling import InstantaneousFamily
 from bogoflow.errors import (DegeneracyMismatch, InvalidArgument,
                              NegativeEigenvalue, UnresolvedSlice, ZeroMode)
-from bogoflow.spectral import (_clusters, _combine, _galerkin_rule,
-                               _galerkin_solve, apply_operator,
+from bogoflow.spectral import (SliceContext, _clusters, _combine,
+                               _galerkin_rule, _galerkin_solve, apply_operator,
                                galerkin_pencil)
 
 from conftest import make_operator
@@ -266,15 +266,16 @@ def test_gram_rejects_mixed_grid_and_separable_modes(long_torus):
     assert np.array_equal(ctx.gram(fine.modes, fine.modes), fresh)
 
 
-def test_callable_weight_gram_of_separable_modes(unit_torus):
-    """A callable weight sends separable modes to Gauss-Legendre quadrature;
-    a constant one must reproduce the exact scalar-weight Gram."""
+def test_separable_gram_rejects_callable_weight_and_general_metric(unit_torus):
+    """Separable modes integrate exactly, on a diagonal metric under a
+    constant weight only."""
     basis = instantaneous_basis(make_operator(unit_torus), unit_torus, 0.0, 5)
+    general = SliceContext(as_general(unit_torus), 0.0)
     for conj in (True, False):
-        exact = basis.gram(conj=conj, weight=0.3)
-        quad = basis.gram(conj=conj,
-                          weight=lambda pts: np.full(len(pts), 0.3))
-        assert np.max(np.abs(quad - exact)) <= 1e-12 * np.max(np.abs(exact))
+        with pytest.raises(InvalidArgument):
+            basis.gram(conj=conj, weight=lambda pts: np.full(len(pts), 0.3))
+        with pytest.raises(InvalidArgument):
+            general.gram(basis.modes, basis.modes, conj=conj)
 
 
 def test_eigen_equation_residual(unit_box):
