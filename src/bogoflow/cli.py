@@ -88,10 +88,8 @@ def _flrw_config(cfg: dict, tol=None, n_modes=None) -> FlrwConfig:
     return FlrwConfig(**block)
 
 
-def _gw_config(cfg: dict, tol=None, n_modes=None) -> GwCavityConfig:
+def _gw_config(cfg: dict, n_modes=None) -> GwCavityConfig:
     block = dict(cfg["gw_cavity"])
-    if tol is not None:
-        block["tol"] = tol
     if n_modes is not None:
         block["n_modes_per_axis"] = [n_modes] * 3
     for key in ("lengths", "n_modes_per_axis", "window", "reference_mode"):
@@ -138,6 +136,11 @@ def _custom_driver(block: dict, n_modes: int):
                     tuple(bool(p) for p in block["periodic"]))
     base = np.asarray(block.get("base_scales", [1.0] * domain.dim), dtype=float)
     amp = np.asarray(block.get("amplitudes", [0.0] * domain.dim), dtype=float)
+    if not np.all(base > 0):
+        raise InvalidArgument("custom 'base_scales' must be positive")
+    if not np.all(np.abs(amp) < 1):
+        raise InvalidArgument("custom 'amplitudes' must lie in (-1, 1), "
+                              "or the metric reaches zero")
     freq = float(block.get("frequency", 1.0))
     kind = block.get("boundary", "none" if all(domain.periodic) else "dirichlet")
     if kind == "robin":
@@ -211,7 +214,10 @@ def _run_flrw(cfg, tol, n_modes):
 
 
 def _run_gw(cfg, tol, n_modes):
-    scen = _gw_config(cfg, tol, n_modes)
+    if tol is not None:
+        raise InvalidArgument("--tol applies to flrw and custom runs; a "
+                              "gw_cavity run integrates no ODE")
+    scen = _gw_config(cfg, n_modes)
     result = gw_cavity_run(scen)
     entries = [{
         "kind": e.kind, "n": list(e.n), "m": list(e.m),
@@ -440,7 +446,8 @@ def _build_parser():
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None)
     p_run.add_argument("--tol", type=float, default=None,
-                       help="override the scenario ODE tolerance")
+                       help="override the ODE tolerance of a flrw or "
+                            "custom run")
     p_run.add_argument("--n-modes", type=int, default=None,
                        help="override the scenario mode count")
 

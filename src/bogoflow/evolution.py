@@ -7,6 +7,10 @@ oscillations and is preferred for perturbative and long runs.  Both forms
 integrate only the top blocks (alpha, beta); the lower blocks are their
 conjugates by construction.
 
+One routine, :func:`_evolve`, integrates both forms; they differ only in
+their right-hand side, their initial state (Q carries its N log-phases as
+extra state) and the result they return.
+
 The frequencies and couplings change only as fast as the metric does, and
 on the general path every evaluation of them is a slice eigensolve.  So
 both forms read the driver through a :class:`DriverTable`: the driver is
@@ -156,44 +160,24 @@ class _Panel:
     row of ``values``.
     """
 
-    def __init__(self, times, samples, base=None):
-        """The panel of ``samples`` at ``times``; with ``base``, a panel on
-        every other of ``times``, of ``samples`` at the times between."""
+    def __init__(self, times, samples):
         self.times = times
         n_nodes = len(times)
         self.weights = np.where(np.arange(n_nodes) % 2, -1.0, 1.0)
         self.weights[[0, -1]] *= 0.5
         self.n = n = len(samples[0][0])
         w, ja, va, jb, vb = zip(*samples)
-        known = ((), ()) if base is None else ((base.ia,), (base.ib,))
-        self.ia = _union(ja + known[0], n * n)
-        self.ib = _union(jb + known[1], n * n)
+        self.ia = _union(ja, n * n)
+        self.ib = _union(jb, n * n)
         self.split = n + len(self.ia)
         self.values = np.zeros((n_nodes, self.split + len(self.ib)),
                                dtype=complex)
-        new = np.arange(n_nodes) if base is None else np.arange(1, n_nodes, 2)
-        self.values[new, :n] = w
+        self.values[:, :n] = w
         for cols, idx, vals, offset in ((self.ia, ja, va, n),
                                         (self.ib, jb, vb, self.split)):
-            rows = np.repeat(new, [len(j) for j in idx])
+            rows = np.repeat(np.arange(n_nodes), [len(j) for j in idx])
             self.values[rows, offset + np.searchsorted(
                 cols, np.concatenate(idx))] = np.concatenate(vals)
-        if base is not None:
-            cols = np.concatenate((
-                np.arange(n), n + np.searchsorted(self.ia, base.ia),
-                self.split + np.searchsorted(self.ib, base.ib)))
-            self.values[::2, cols] = base.values
-
-    def sample(self, j):
-        """Node ``j``'s sample as the driver table takes it in: (w, and the
-        flat indices and values of the nonzero entries of ahat and bhat)."""
-        row, n = self.values[j], self.n
-        out = [row[:n].real]
-        for cols, block in ((self.ia, row[n:self.split]),
-                            (self.ib, row[self.split:])):
-            nonzero = np.flatnonzero(block)
-            out += [cols[nonzero], block[nonzero]]
-        return tuple(out)
 
     def tails(self, tol, coupling_target):
         """Per block (frequencies, ahat, bhat): whether it is resolved, and
@@ -305,19 +289,23 @@ class DriverTable:
         """Sample [start, end] at growing node counts until it chops: the
         panel, whether it chopped, its tail and its sample at ``end``.
 
-        Growth stops early when the tails of the unresolved blocks, falling
+        Each larger set adds the times between the samples kept.  Growth
+        stops early when the tails of the unresolved blocks, falling
         geometrically at the rate of the last doubling, would still miss
         their targets at the largest count."""
-        panel = last = None
+        samples = [first]
+        last = None
         for n_nodes in _SIZES:
             times = start + (end - start) * _UNIT[::256 // (n_nodes - 1)]
             times[-1] = end
-            if panel is None:
-                panel = _Panel(times, [first] + [self._sample(t)
-                                                 for t in times[1:]])
+            if len(samples) == 1:
+                samples += [self._sample(t) for t in times[1:]]
             else:
-                panel = _Panel(times, [self._sample(t) for t in times[1::2]],
-                               base=panel)
+                grown = [None] * n_nodes
+                grown[::2] = samples
+                grown[1::2] = [self._sample(t) for t in times[1::2]]
+                samples = grown
+            panel = _Panel(times, samples)
             checks = panel.tails(tol, coupling_target)
             resolved = all(ok for ok, _ in checks)
             if resolved:
@@ -327,8 +315,7 @@ class DriverTable:
             if last is not None and worst * (worst / last) ** doublings > 1.0:
                 break
             last = worst
-        return panel, resolved, max(tail for _, tail in checks), \
-            panel.sample(-1)
+        return panel, resolved, max(tail for _, tail in checks), samples[-1]
 
     def _build(self, t0, t1, first, tol, span):
         narrowest = span * 2.0 ** -_MAX_SPLITS
@@ -357,6 +344,8 @@ class DriverTable:
 
 def _union(index_sets, size):
     """Sorted union of index arrays below ``size``."""
+    # not np.unique: its first call imports numpy.ma, which a first run
+    # must not pay for
     mask = np.zeros(size, dtype=bool)
     mask[np.concatenate(index_sets)] = True
     return np.flatnonzero(mask)
@@ -377,25 +366,49 @@ def static_driver(omegas) -> Callable:
     return lambda t: (w, (z, z))
 
 
-def _monitor(tol, get_blocks):
+def _evolve(driver, t0, tf, tol, t_eval, rhs_of, y0_of, wrap):
+    """Integrate one form of the transformation ODE from t0 to tf.
+
+    A form is its right-hand side ``rhs_of(drive, blocks)`` on the driver
+    table ``drive`` (``blocks(y)``: a state's alpha and beta views), its
+    initial state ``y0_of(n)`` for n modes and its result ``wrap(m, y)``
+    from a state ``y`` and its blocks ``m``.
+    """
+    if tf == t0:
+        raise InvalidArgument("tf must differ from t0")
+    t1 = tf if t_eval is None else (t_eval[-1] if len(t_eval) else t0)
+    start = time.perf_counter()
+    drive = DriverTable(driver, float(t0), float(t1), tol)
+    table_s = time.perf_counter() - start
+    n = drive.n
+
+    def blocks(y):
+        return y[:2 * n * n].reshape(2, n, n)
+
     cap = 100.0 * tol
 
-    def hook(t, y):
-        res = identity_residual(BogoliubovMatrix(*get_blocks(y)))
+    def monitor(t, y):
+        res = identity_residual(BogoliubovMatrix(*blocks(y)))
         if res > cap:
             raise IdentityDrift(
                 f"identity residual {res:.3e} exceeded {cap:.3e} at t={t:.6g}")
-    return hook
 
+    start = time.perf_counter()
+    res = solve_dopri(rhs_of(drive, blocks), t0, tf, y0_of(n), rtol=tol,
+                      atol=tol, t_eval=t_eval, step_hook=monitor)
+    stepper_s = time.perf_counter() - start
+    meta = dict(res.stats(), **drive.stats(), tol=tol, table_s=table_s,
+                stepper_s=stepper_s)
 
-def _driver_table(driver, t0, tf, tol, t_eval) -> DriverTable:
-    """The table of ``driver`` over the span a solve integrates: from t0 to
-    the last sample of ``t_eval``, or to ``tf``."""
-    if tf == t0:
-        raise InvalidArgument("tf must differ from t0")
-    if t_eval is not None:
-        tf = t_eval[-1] if len(t_eval) else t0
-    return DriverTable(driver, float(t0), float(tf), tol)
+    # the blocks are views of res.y: each sample is held once
+    def result(y):
+        m = BogoliubovMatrix(*blocks(y))
+        m.meta.update(meta, identity_residual=identity_residual(m))
+        return wrap(m, y)
+
+    if t_eval is None:
+        return result(res.y[-1])
+    return [result(y) for y in res.y]
 
 
 def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
@@ -409,41 +422,20 @@ def evolve_U(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     ``meta`` also holds ``table_s`` and ``stepper_s``, the wall time of
     building the table (every driver call) and of the stepper.
     """
-    start = time.perf_counter()
-    drive = _driver_table(driver, t0, tf, tol, t_eval)
-    table_s = time.perf_counter() - start
-    n = drive.n
+    def rhs_of(drive, blocks):
+        def rhs(t, y):
+            w, ah, bh = drive(t)
+            A, B = blocks(y)
+            iw = 1j * w[:, None]
+            dA = iw * A + ah @ A + bh @ np.conj(B)
+            dB = iw * B + ah @ B + bh @ np.conj(A)
+            return np.concatenate([dA.ravel(), dB.ravel()])
+        return rhs
 
-    def blocks(y):
-        return y[:n * n].reshape(n, n), y[n * n:].reshape(n, n)
-
-    def rhs(t, y):
-        w, ah, bh = drive(t)
-        A, B = blocks(y)
-        iw = 1j * w[:, None]
-        dA = iw * A + ah @ A + bh @ np.conj(B)
-        dB = iw * B + ah @ B + bh @ np.conj(A)
-        return np.concatenate([dA.ravel(), dB.ravel()])
-
-    y0 = np.concatenate([np.eye(n, dtype=complex).ravel(),
-                         np.zeros(n * n, dtype=complex)])
-    hook = _monitor(tol, blocks)
-    start = time.perf_counter()
-    res = solve_dopri(rhs, t0, tf, y0, rtol=tol, atol=tol,
-                      t_eval=t_eval, step_hook=hook)
-    stepper_s = time.perf_counter() - start
-    meta = dict(res.stats(), **drive.stats(), tol=tol, table_s=table_s,
-                stepper_s=stepper_s)
-
-    # the blocks are views of res.y: each sample is held once
-    def to_matrix(y):
-        m = BogoliubovMatrix(*blocks(y))
-        m.meta.update(meta, identity_residual=identity_residual(m))
-        return m
-
-    if t_eval is None:
-        return to_matrix(res.y[-1])
-    return [to_matrix(y) for y in res.y]
+    # alpha = I stacked on beta = 0
+    return _evolve(driver, t0, tf, tol, t_eval, rhs_of,
+                   lambda n: np.eye(2 * n, n, dtype=complex).ravel(),
+                   lambda m, y: m)
 
 
 def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
@@ -455,45 +447,22 @@ def evolve_Q(driver: Callable, t0: float, tf: float, tol: float = 1e-10,
     (BogoliubovMatrix of Q blocks, PhaseAccumulator), or lists of both when
     ``t_eval`` is given; ``meta`` holds what :func:`evolve_U` puts there.
     """
-    start = time.perf_counter()
-    drive = _driver_table(driver, t0, tf, tol, t_eval)
-    table_s = time.perf_counter() - start
-    n = drive.n
-    nn = n * n
+    def rhs_of(drive, blocks):
+        def rhs(t, y):
+            w, ah, bh = drive(t)
+            Qa, Qb = blocks(y)
+            p = y[2 * Qa.size:]
+            adiag = np.diagonal(ah)
+            abar = ah - np.diag(adiag)
+            m1 = abar * np.exp(p[None, :] - p[:, None])
+            m2 = bh * np.exp(-p[:, None] - p[None, :])
+            dQa = m1 @ Qa + m2 @ np.conj(Qb)
+            dQb = m1 @ Qb + m2 @ np.conj(Qa)
+            dp = 1j * w + adiag
+            return np.concatenate([dQa.ravel(), dQb.ravel(), dp])
+        return rhs
 
-    def blocks(y):
-        return y[:nn].reshape(n, n), y[nn:2 * nn].reshape(n, n)
-
-    def rhs(t, y):
-        w, ah, bh = drive(t)
-        Qa, Qb = blocks(y)
-        p = y[2 * nn:]
-        adiag = np.diagonal(ah)
-        abar = ah - np.diag(adiag)
-        m1 = abar * np.exp(p[None, :] - p[:, None])
-        m2 = bh * np.exp(-p[:, None] - p[None, :])
-        dQa = m1 @ Qa + m2 @ np.conj(Qb)
-        dQb = m1 @ Qb + m2 @ np.conj(Qa)
-        dp = 1j * w + adiag
-        return np.concatenate([dQa.ravel(), dQb.ravel(), dp])
-
-    y0 = np.concatenate([np.eye(n, dtype=complex).ravel(),
-                         np.zeros(nn, dtype=complex),
-                         np.zeros(n, dtype=complex)])
-    hook = _monitor(tol, blocks)
-    start = time.perf_counter()
-    res = solve_dopri(rhs, t0, tf, y0, rtol=tol, atol=tol,
-                      t_eval=t_eval, step_hook=hook)
-    stepper_s = time.perf_counter() - start
-    meta = dict(res.stats(), **drive.stats(), tol=tol, table_s=table_s,
-                stepper_s=stepper_s)
-
-    # the blocks and phases are views of res.y: each sample is held once
-    def to_pair(y):
-        q = BogoliubovMatrix(*blocks(y))
-        q.meta.update(meta, identity_residual=identity_residual(q))
-        return q, PhaseAccumulator(y[2 * nn:])
-
-    if t_eval is None:
-        return to_pair(res.y[-1])
-    return [to_pair(y) for y in res.y]
+    # alpha = I stacked on beta = 0 and on a row of zero phases
+    return _evolve(driver, t0, tf, tol, t_eval, rhs_of,
+                   lambda n: np.eye(2 * n + 1, n, dtype=complex).ravel(),
+                   lambda q, y: (q, PhaseAccumulator(y[2 * q.alpha.size:])))

@@ -55,6 +55,10 @@ class GwCavityConfig:
             raise InvalidArgument("boundary must be dirichlet or neumann")
         if self.tau is not None and self.tau <= 0:
             raise InvalidArgument("envelope duration must be positive")
+        if self.tau is not None and self.window is not None:
+            raise InvalidArgument(
+                "window is for periodic profiles; a Gaussian tau gives "
+                "whole-line coefficients")
 
     def labels(self):
         nx, ny, nz = (self.n_modes_per_axis if not np.isscalar(self.n_modes_per_axis)

@@ -110,6 +110,29 @@ def test_validate_custom_bad_time_field_fails(tmp_path, capsys, key, value):
         in capsys.readouterr().out
 
 
+# h = base_scales (1 + amplitudes sin(frequency t)) must stay positive: the
+# metric reaches zero at t = pi/2 < tf for an amplitude of -1
+BAD_METRIC = [("base_scales", [-1.0]), ("base_scales", [0.0]),
+              ("amplitudes", [-1.0]), ("amplitudes", [-1.5])]
+
+
+@pytest.mark.parametrize("key, value", BAD_METRIC)
+def test_run_custom_bad_metric_exits_1(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, custom_config(tf=2.0, **{key: value}))
+    assert cli.run(path, output_dir=tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "error: invalid configuration" in err and repr(key) in err
+    assert not (tmp_path / "cust.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", BAD_METRIC)
+def test_validate_custom_bad_metric_fails(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, custom_config(tf=2.0, **{key: value}))
+    assert cli.validate(path) == 0
+    assert f"FAIL: scenario block invalid: custom {key!r}" \
+        in capsys.readouterr().out
+
+
 NON_NUMERIC = [("n_modes", "abc"), ("mass", "abc"), ("frequency", "x")]
 
 
@@ -443,6 +466,19 @@ def test_run_gw_mode_count_override(tmp_path):
     assert cli.run(path, output_dir=tmp_path, n_modes=1) == 0
     record = json.loads((tmp_path / "gw.json").read_text())
     assert record["n_resonant_channels"] == 1
+
+
+def test_run_gw_tol_override_exits_1(tmp_path, capsys):
+    """A gw_cavity run integrates no ODE, so ``--tol`` would change
+    nothing; the block's own ``tol`` stays accepted."""
+    cfg = {"scenario": "gw_cavity",
+           "gw_cavity": dict(GW_BLOCK, n_modes_per_axis=[1, 1, 1], tol=1e-8),
+           "output": {"path": "gw", "format": "csv"}}
+    path = write_config(tmp_path, cfg)
+    assert cli.run(path, output_dir=tmp_path, tol=1e-3) == 1
+    assert "error: invalid configuration: --tol" in capsys.readouterr().err
+    assert not (tmp_path / "gw.json").exists()
+    assert cli.run(path, output_dir=tmp_path) == 0
 
 
 def test_run_overrides(tmp_path):

@@ -105,3 +105,36 @@ def test_tracer_times_one_gw_mode_form_coupling():
 
     assert m["perturbation.coupling_s"] > 0
     assert m["spectral.gram_calls"] == 1
+
+
+def test_tracer_counts_match_the_evolution_meta():
+    """A traced evolve_Q and evolve_U read the counts their ``meta``
+    records: the stepper and the identity monitor are looked up by name at
+    call time, so the tracer's wrappers see every step, RHS call and
+    identity check."""
+    for name in LAYER_MODULES:
+        importlib.import_module(name)
+    from bogoflow import coupling, evolution, flrw_torus, spectral
+    tracing = load_tracer()
+
+    a = lambda t: np.sqrt(2.5 + 1.5 * np.tanh(t))
+    st = flrw_torus(a, None, length=1000.0, mass=0.1)
+    driver = coupling.DiagonalFamilyDriver(
+        spectral.OperatorSpec(boundary=st.boundary), st, 3)
+    for form in ("evolve_Q", "evolve_U"):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            out = getattr(evolution, form)(driver, -2.0, 2.0, tol=1e-8,
+                                           t_eval=[0.0, 1.0, 2.0])
+        finally:
+            tracer.uninstall()
+        m = tracing.op_metrics(tracer.take())
+        meta = (out[-1][0] if form == "evolve_Q" else out[-1]).meta
+
+        assert m["evolution.calls"] == 1
+        assert m["integrators.rhs_evals"] == meta["n_rhs"]
+        assert m["coupling.driver_calls"] == meta["driver_calls"] == 33
+        assert m["integrators.accepted_steps"] == meta["n_steps"]
+        # one check a step, and one of each of the three results
+        assert m["evolution.identity_checks"] == meta["n_steps"] + 3

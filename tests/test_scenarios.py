@@ -139,6 +139,13 @@ def test_config_validation():
         GwCavityConfig(epsilon=0.0)
 
 
+def test_gw_config_rejects_window_with_gaussian_tau():
+    """A Gaussian envelope gives whole-line coefficients, so a window
+    would be ignored."""
+    with pytest.raises(InvalidArgument, match="window"):
+        GwCavityConfig(tau=30.0, window=(0.0, 3.0))
+
+
 # ---------------------------------------------------------------------------
 # cosmology runs
 
